@@ -43,29 +43,34 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _parse_radii(text: str) -> List[int]:
+def _parse_radii(text: str, cap: int) -> List[int]:
     """Radii literal: comma-separated integers and lo..hi ranges, e.g.
-    "1..10" or "1,2,5" or "1,3..6,10"; must be strictly increasing."""
+    "1..10" or "1,2,5" or "1,3..6,10"; must be strictly increasing.
+
+    A ball of radius r in the free orbit has at least 2r + 1 nodes, so a
+    radius whose ball cannot fit the node cap is rejected before its range
+    is expanded.
+    """
     radii: List[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             raise ValueError(f"empty entry in radii literal {text!r}")
-        if ".." in chunk:
-            lo_txt, _, hi_txt = chunk.partition("..")
-            lo, hi = int(lo_txt), int(hi_txt)
-            if hi < lo:
-                raise ValueError(f"empty range {chunk!r} in radii literal")
-            radii.extend(range(lo, hi + 1))
-        else:
-            radii.append(int(chunk))
-    if not radii:
-        raise ValueError("radii literal is empty")
-    if radii[0] < 1:
-        raise ValueError(f"radii must be >= 1, got {radii[0]}")
-    for a, b in zip(radii, radii[1:]):
-        if b <= a:
-            raise ValueError(f"radii must be strictly increasing ({a} then {b})")
+        lo_txt, dots, hi_txt = chunk.partition("..")
+        lo = int(lo_txt)
+        hi = int(hi_txt) if dots else lo
+        if hi < lo:
+            raise ValueError(f"empty range {chunk!r} in radii literal")
+        if lo < 1:
+            raise ValueError(f"radii must be >= 1, got {lo}")
+        if radii and lo <= radii[-1]:
+            raise ValueError(f"radii must be strictly increasing ({radii[-1]} then {lo})")
+        if 2 * hi + 1 > cap:
+            raise ResourceLimitError(
+                f"radius {hi} needs at least {2 * hi + 1} orbit nodes, "
+                f"above --cap {cap}"
+            )
+        radii.extend(range(lo, hi + 1))
     return radii
 
 
@@ -124,7 +129,9 @@ def _cmd_eymard_verify(args) -> int:
 def _cmd_kesten(args) -> int:
     if args.k < 1:
         raise ValueError(f"generator count must be >= 1, got {args.k}")
-    radii = _parse_radii(args.radii)
+    if args.cap < 1:
+        raise ValueError(f"node cap must be positive, got {args.cap}")
+    radii = _parse_radii(args.radii, args.cap)
     gens = free_generator_set(args.k)
     profile = kesten_profile(Coset(0, IDENTITY), gens, radii, cap=args.cap)
     limit = math.sqrt(2 * args.k - 1) / args.k

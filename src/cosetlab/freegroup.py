@@ -162,18 +162,24 @@ def gamma_member(u: Word, n: int) -> bool:
 
 
 def minimal_level(u: Word) -> int:
-    """The least n with gamma_member(u, n); always <= max letter index.
+    """The least n with gamma_member(u, n); always one of u's letter indices.
 
-    Undefined for the identity (it lies in every normal closure), which
-    raises ValueError.
+    retract(u, n) only changes as n passes a letter index, and membership is
+    monotone in n (true at the max index), so a binary search over the
+    sorted distinct indices finds it.  Undefined for the identity (it lies
+    in every normal closure), which raises ValueError.
     """
     if not u.letters:
         raise ValueError("minimal level of the identity word is undefined")
-    indices = [i for (i, _) in u.letters]
-    for n in range(min(indices), max(indices) + 1):
-        if gamma_member(u, n):
-            return n
-    return max(indices)  # unreachable: retraction at the max index kills u
+    indices = sorted({i for (i, _) in u.letters})
+    lo, hi = 0, len(indices) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if gamma_member(u, indices[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return indices[lo]
 
 
 _LETTER_RE = re.compile(r"^x(-?\d+)(?:\^(-?\d+))?$")

@@ -155,15 +155,10 @@ def markov_operator(ball: OrbitBall) -> SparseOperator:
     """
     gens = GenSet(ball.generators)
     n = len(ball)
-    rows = []
-    cols = []
-    for img in ball.gen_images:
-        arr = np.frombuffer(img, dtype=np.int32) if len(img) else np.empty(0, np.int32)
-        mask = arr >= 0
-        rows.append(np.nonzero(mask)[0].astype(np.int64))
-        cols.append(arr[mask].astype(np.int64))
-    row = np.concatenate(rows) if rows else np.empty(0, np.int64)
-    col = np.concatenate(cols) if cols else np.empty(0, np.int64)
+    images = np.asarray(ball.gen_images)
+    mask = images >= 0
+    row = np.nonzero(mask)[1].astype(np.int64)
+    col = images[mask].astype(np.int64)
     data = np.ones(len(row), dtype=np.int64)
     counts = sp.coo_matrix((data, (row, col)), shape=(n, n)).tocsr()
     return SparseOperator(counts, len(gens), ball)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 from cosetlab.cli import main
 
@@ -80,6 +81,19 @@ def test_kesten_resource_cap(capsys):
     code, out, err = run(capsys, "kesten", "--radii", "1..9", "--cap", "100")
     assert code == 3
     assert "cap" in err
+
+
+def test_kesten_radii_beyond_cap_rejected_before_expansion(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "kesten", "--radii", "1..1000000000")
+    assert code == 3
+    assert "--cap 2000000" in err
+    assert time.perf_counter() - started < 1.0
+    # radius 30 of any free orbit has at least 61 nodes
+    code, _, err = run(capsys, "kesten", "--radii", "1,20..30", "--cap", "60")
+    assert code == 3
+    assert "radius 30" in err and "--cap 60" in err
+    assert run(capsys, "kesten", "--cap", "0")[0] == 2
 
 
 def test_kesten_csv(capsys, tmp_path):

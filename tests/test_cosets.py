@@ -1,9 +1,17 @@
 """Coset canonical forms, the group action, and orbit balls."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import cosetlab
 
 from cosetlab.cosets import (
     Coset,
@@ -22,8 +30,9 @@ from cosetlab.freegroup import (
     g_mul,
     parse_gelement,
     parse_word,
+    reduce,
 )
-from cosetlab.spectral import free_generator_set
+from cosetlab.spectral import GenSet, free_generator_set
 
 from helpers import random_closure_member, random_gelement
 
@@ -180,3 +189,94 @@ def test_h_orbit_partition_levels():
 def test_h_orbit_partition_rejects_shifts():
     with pytest.raises(ValueError):
         h_orbit_partition(range(2), [parse_gelement("t")], 2)
+
+
+def reference_ball(base, gens, radius):
+    """Node-by-node breadth-first search on act() and a dict: the referee
+    for the layer-vectorized orbit_ball."""
+    nodes, index, dist = [base], {base: 0}, [0]
+    images = [[] for _ in gens]
+    i = 0
+    while i < len(nodes):
+        for gi, g in enumerate(gens):
+            target = act(g, nodes[i])
+            j = index.get(target, -1)
+            if j < 0 and dist[i] < radius:
+                j = len(nodes)
+                index[target] = j
+                nodes.append(target)
+                dist.append(dist[i] + 1)
+            images[gi].append(j)
+        i += 1
+    return nodes, dist, images
+
+
+@st.composite
+def ball_inputs(draw):
+    level = draw(st.sampled_from((0, 10**6, -(10**6)))) + draw(st.integers(-2, 2))
+
+    def word(lo, hi):
+        letters = st.tuples(st.integers(lo, hi), st.sampled_from((1, -1)))
+        return reduce(draw(st.lists(letters, max_size=3)))
+
+    # letters from 3 below to 4 above the base level straddle the levels
+    # that shifts of -3..3 reach within the drawn radii
+    gens = [GElement(draw(st.integers(-3, 3)), word(level - 3, level + 4))
+            for _ in range(draw(st.integers(1, 3)))]
+    base = Coset(level, word(level + 1, level + 4))
+    return base, GenSet.symmetrized(gens).elements, draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ball_inputs())
+def test_orbit_ball_matches_reference_bfs(inputs):
+    base, gens, radius = inputs
+    ball = orbit_ball(base, gens, radius)
+    nodes, dist, images = reference_ball(base, gens, radius)
+    assert [ball.node(i) for i in range(len(ball))] == nodes
+    assert ball.distances.tolist() == dist
+    assert [img.tolist() for img in ball.gen_images] == images
+    for i, c in enumerate(nodes):
+        assert ball.find(c) == i
+    for gi, g in enumerate(gens):
+        for i in np.flatnonzero(ball.gen_images[gi] < 0):
+            assert ball.find(act(g, nodes[i])) is None
+
+
+def test_orbit_ball_rejects_unpackable_codes():
+    x = parse_gelement(f"x{2**70}")
+    with pytest.raises(ValueError, match="INDEX_LIMIT"):
+        orbit_ball(Coset(0, IDENTITY), [x, g_inv(x)], 1)
+    t = parse_gelement(f"t^{2**40}")
+    with pytest.raises(ValueError, match="LEVEL_LIMIT"):
+        orbit_ball(Coset(0, IDENTITY), [t, g_inv(t)], 1)
+
+
+def test_orbit_ball_huge_radius_stops_at_cap_or_orbit_end():
+    t = parse_gelement("t")
+    with pytest.raises(ResourceLimitError, match="cap 10"):
+        orbit_ball(Coset(0, IDENTITY), [t, g_inv(t)], 10**15, cap=10)
+    x0 = parse_gelement("x0")
+    ball = orbit_ball(Coset(5, IDENTITY), [x0, g_inv(x0)], 10**15)
+    assert len(ball) == 1
+    assert ball.gen_images.tolist() == [[0], [0]]
+
+
+def test_kesten_cap_bounds_layer_memory():
+    # radius 3 of the rank-50 free orbit has 980,201 nodes: the layer must
+    # stop at the cap, not after computing its images.  A process started
+    # from this one inherits this one's peak RSS at exec, so a small
+    # wrapper process starts the run and reports the run's own peak.
+    env = dict(os.environ, PYTHONPATH=str(Path(cosetlab.__file__).parents[1]))
+    wrapper = ("import resource, subprocess, sys; "
+               "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    cmd = [sys.executable, "-m", "cosetlab", "kesten", "-k", "50",
+           "--radii", "1..4", "--cap", "100000"]
+    got = subprocess.run([sys.executable, "-c", wrapper, *cmd], env=env,
+                         capture_output=True, text=True, timeout=120)
+    code, maxrss_kb = map(int, got.stdout.split())
+    assert code == 3
+    assert "node cap 100000" in got.stderr
+    # computing the whole layer before checking the cap peaked near 200 MB
+    assert maxrss_kb < 150 * 1024

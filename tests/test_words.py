@@ -1,8 +1,10 @@
 """Reduced words, the shift automorphism, retraction, and parsing."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetlab.freegroup import (
     G_IDENTITY,
@@ -152,6 +154,25 @@ def test_minimal_level_is_the_membership_threshold():
         n = minimal_level(w)
         assert gamma_member(w, n)
         assert not gamma_member(w, n - 1)
+
+
+def test_minimal_level_wide_span():
+    started = time.perf_counter()
+    assert minimal_level(parse_word("x-1000000000 x1000000000")) == 1000000000
+    assert time.perf_counter() - started < 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.sampled_from((1, -1))),
+                min_size=1, max_size=10))
+def test_minimal_level_matches_matrix_oracle(letters):
+    w = reduce(letters)
+    if not w.letters:
+        return
+    indices = [i for (i, _) in w.letters]
+    scan = range(min(indices) - 1, max(indices) + 1)
+    expected = next(n for n in scan if matrix_image(w, n) == MAT_ID)
+    assert minimal_level(w) == expected
 
 
 def test_group_axioms_on_semidirect_product():
