@@ -1,11 +1,15 @@
-"""Character theory on finite groups, exact by construction.
+"""Character theory on finite groups, in floating point with a stated
+error budget.
 
 Characters are class functions stored as one complex value per conjugacy
 class.  Induction, restriction, inner products, reciprocity checks, and
 invariant-vector dimension counts are all multiplicity statements, fully
-decided by characters; multiplicities are validated to be integers within
-1e-9.  Irreducible tables are supplied as curated data files and validated
-on load by orthonormality.
+decided by characters.  Values are complex floats read from the tables,
+so results carry rounding error: multiplicities are rounded to integers by
+`_as_int`, which rejects any value more than 1e-9 from an integer, and
+induction in stages compares characters classwise at `tol=1e-9`.
+Irreducible tables are supplied as curated data files and validated on
+load by orthonormality (within 1e-9).
 """
 
 from __future__ import annotations
@@ -82,21 +86,22 @@ def restrict_character(chi: Character, H: Subgroup) -> Character:
 
 
 def induce_character(chi: Character, G: FiniteGroup) -> Character:
-    """Induced character: ind(chi)(g) = (1/|H|) sum over x in G with
-    x^-1 g x in H of chi(x^-1 g x).  The degree multiplies by [G:H]."""
+    """Induced character, by class sums:
+
+        ind(chi)(g) = |G| / (|cl(g)| |H|) * sum of chi(y) over y in cl(g) and H,
+
+    which is (1/|H|) sum over x in G with x^-1 g x in H of chi(x^-1 g x),
+    since each y in cl(g) is x^-1 g x for exactly |G| / |cl(g)| elements x.
+    One pass over H adds chi into the classes of G.  The degree multiplies
+    by [G:H]."""
     H = chi.group
     if not isinstance(H, Subgroup) or H.parent is not G:
         raise ValueError("character must live on a subgroup of G")
-    values = []
-    for c in G.classes:
-        g = c.rep
-        total = 0j
-        for x in range(len(G)):
-            y = G.mul(G.mul(G.inv(x), g), x)
-            si = H._from_parent.get(y)
-            if si is not None:
-                total += chi.values[H.class_of(si)]
-        values.append(total / len(H))
+    sums = [0j] * len(G.classes)
+    for si, pi in enumerate(H.parent_index):
+        sums[G.class_of(pi)] += chi.values[H.class_of(si)]
+    index = H.index_in_parent
+    values = [s * index / c.size for s, c in zip(sums, G.classes)]
     return Character(G, values, name=f"ind({chi.name})" if chi.name else "")
 
 

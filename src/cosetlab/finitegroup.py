@@ -14,29 +14,17 @@ from __future__ import annotations
 import math
 import random
 import re
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ResourceLimitError
 
 Perm = Tuple[int, ...]
-Matrix = Tuple[Tuple[int, ...], ...]
 
-
-def _perm_mul(a: Perm, b: Perm) -> Perm:
-    """Composition: (a * b)(i) = a(b(i))."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _mat_mul_mod(a: Matrix, b: Matrix, m: int) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+# Products formed at once during closure; bounds the temporaries of a layer.
+SLICE_PRODUCTS = 1 << 16
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -120,49 +108,87 @@ def _perm_cycles_repr(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-def _bfs_closure(gen_values, op, identity, cap):
-    """Deterministic breadth-first closure under right multiplication.
+def _batch_op(kind: str, modulus: Optional[int]):
+    """The group law on stacks of elements, broadcast over leading axes:
+    composition (a * b)(i) = a(b(i)) for permutation rows, the matrix
+    product mod m for matrices."""
+    if kind == "perm":
+        return lambda a, b: np.take_along_axis(a, b, axis=-1)
+    return lambda a, b: np.matmul(a, b) % modulus
 
-    Inverses are tracked along the walk: (x g)^-1 = g^-1 x^-1, with
-    generator inverses obtained by cycling to the element's order.
-    Returns (elements in discovery order, value -> index map, inverse
-    index list).
-    """
-    inv_val = {identity: identity}
-    uniq = []
-    seen = set()
-    for g in gen_values:
-        if g not in seen:
-            seen.add(g)
-            uniq.append(g)
-    for g in uniq:
-        prev, cur = identity, g
-        steps = 0
-        while cur != identity:
+
+def _keys(rows: np.ndarray) -> list:
+    """One hashable key per element of a stack: its bytes, or for object
+    entries the tuple of its entries."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), math.prod(rows.shape[1:]))
+    if flat.dtype == object:
+        return list(map(tuple, flat.tolist()))
+    row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
+    return flat.view(row).ravel().tolist()
+
+
+def _generator_inverses(gens: np.ndarray, identity: np.ndarray, op, cap: int):
+    """g^-1 = g^(o-1), found by stepping through the powers of g."""
+    inv = np.empty_like(gens)
+    for j in range(len(gens)):
+        g = gens[j:j + 1]
+        prev, cur, steps = identity, g, 0
+        while not np.array_equal(cur, identity):
             prev, cur = cur, op(cur, g)
             steps += 1
             if steps > cap:
                 raise ResourceLimitError(
                     f"element order exceeds cap {cap} while inverting a generator"
                 )
-        inv_val[g] = prev
-    elements = [identity]
-    index = {identity: 0}
-    i = 0
-    while i < len(elements):
-        x = elements[i]
-        xinv = inv_val[x]
-        for g in uniq:
-            y = op(x, g)
-            if y not in index:
-                if len(elements) >= cap:
-                    raise ResourceLimitError(f"group order exceeds cap {cap}")
-                index[y] = len(elements)
-                elements.append(y)
-                inv_val[y] = op(inv_val[g], xinv)
-        i += 1
-    inv = [index[inv_val[e]] for e in elements]
-    return elements, index, inv
+        inv[j] = prev[0]
+    return inv
+
+
+def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int):
+    """Deterministic breadth-first closure under right multiplication, one
+    layer at a time.
+
+    Each layer multiplies every element of the previous layer by every
+    generator; new elements are numbered by first occurrence in (parent,
+    generator) order, which is the order of an element-by-element walk.
+    Inverses follow the same products: (x g)^-1 = g^-1 x^-1.  Products are
+    formed in slices of SLICE_PRODUCTS, and the cap is checked after each
+    slice, before the layer is committed, so a layer past the cap is never
+    built.  Returns (element rows in discovery order, key -> index map,
+    inverse index list).
+    """
+    first = {}
+    for j, key in enumerate(_keys(gens)):
+        first.setdefault(key, j)
+    gens = gens[list(first.values())]
+    gen_inv = _generator_inverses(gens, identity, op, cap)
+    index = {_keys(identity)[0]: 0}
+    layer = layer_inv = identity
+    rows, inv_rows = [identity], [identity]
+    step = max(1, SLICE_PRODUCTS // max(1, len(gens)))
+    while len(layer) and len(gens):
+        fresh = {}
+        for lo in range(0, len(layer), step):
+            products = op(layer[lo:lo + step, None], gens[None])
+            keys = _keys(products.reshape((-1,) + identity.shape[1:]))
+            for pos, key in enumerate(keys, lo * len(gens)):
+                if key not in index and key not in fresh:
+                    fresh[key] = pos
+            if len(index) + len(fresh) > cap:
+                raise ResourceLimitError(
+                    f"group order exceeds cap {cap}: {len(index)} elements "
+                    f"found and the next breadth-first layer adds at least "
+                    f"{len(fresh)} more"
+                )
+        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+        pos = np.fromiter(fresh.values(), np.intp, len(fresh))
+        parent, gen = np.divmod(pos, len(gens))
+        layer_inv = op(gen_inv[gen], layer_inv[parent])
+        layer = op(layer[parent], gens[gen])
+        rows.append(layer)
+        inv_rows.append(layer_inv)
+    inv = [index[key] for key in _keys(np.concatenate(inv_rows))]
+    return np.concatenate(rows), index, inv
 
 
 class ConjugacyClass(NamedTuple):
@@ -177,14 +203,19 @@ class ConjugacyClass(NamedTuple):
 class FiniteGroup:
     """A finite group of permutation tuples or integer matrices mod m,
     enumerated in deterministic breadth-first order (identity first).
+
+    Elements are stored as one array of rows (shape (n, d) for
+    permutations, (n, d, d) for matrices) and multiplied in batches; the
+    tuple values in `elements` are the public view of the same rows, built
+    on first use.
     """
 
-    def __init__(self, elements, index, inv, op, kind, degree, modulus, generators,
+    def __init__(self, rows, row_index, inv, kind, degree, modulus, generators,
                  check=True):
-        self.elements = list(elements)
-        self._index = index
+        self._rows = rows
+        self._row_index = row_index
+        self._op = _batch_op(kind, modulus)
         self._inv = list(inv)
-        self._op = op
         self.kind = kind
         self.degree = degree
         self.modulus = modulus
@@ -197,11 +228,23 @@ class FiniteGroup:
     # -- basic structure ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._rows)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._rows)
+
+    @cached_property
+    def elements(self) -> list:
+        """Element values in enumeration order: permutation tuples, or
+        matrices as tuples of row tuples."""
+        if self.kind == "perm":
+            return list(map(tuple, self._rows.tolist()))
+        return [tuple(map(tuple, v)) for v in self._rows.tolist()]
+
+    @cached_property
+    def _index(self) -> Dict[object, int]:
+        return {v: i for i, v in enumerate(self.elements)}
 
     @property
     def identity(self):
@@ -219,8 +262,13 @@ class FiniteGroup:
     def contains_value(self, value) -> bool:
         return value in self._index
 
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """Element indices of a stack of rows that lie in the group."""
+        return np.fromiter(map(self._row_index.__getitem__, _keys(rows)),
+                           np.intp, len(rows))
+
     def mul(self, i: int, j: int) -> int:
-        return self._index[self._op(self.elements[i], self.elements[j])]
+        return int(self._find(self._op(self._rows[[i]], self._rows[[j]]))[0])
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -234,37 +282,34 @@ class FiniteGroup:
     def _verify_axioms(self):
         """Identity and inverse laws on every element (closure holds by
         construction); associativity on a deterministic sample of triples."""
-        n = len(self.elements)
-        for i in range(n):
-            if self.mul(0, i) != i or self.mul(i, 0) != i:
-                raise ValueError("identity law fails")
-            if self.mul(i, self._inv[i]) != 0 or self.mul(self._inv[i], i) != 0:
-                raise ValueError("inverse law fails")
+        a, op, n = self._rows, self._op, len(self)
+        e, a_inv = a[:1], a[self._inv]
+        if not (np.array_equal(op(e, a), a) and np.array_equal(op(a, e), a)):
+            raise ValueError("identity law fails")
+        if not ((op(a, a_inv) == e).all() and (op(a_inv, a) == e).all()):
+            raise ValueError("inverse law fails")
         rng = random.Random(7)
-        for _ in range(min(200, n * n)):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ValueError("associativity fails")
+        triples = [rng.randrange(n) for _ in range(3 * min(200, n * n))]
+        x, y, z = (a[triples[k::3]] for k in range(3))
+        if not np.array_equal(op(op(x, y), z), op(x, op(y, z))):
+            raise ValueError("associativity fails")
 
     # -- conjugacy ---------------------------------------------------------
 
     def _compute_classes(self):
-        n = len(self.elements)
-        class_of = [-1] * n
+        """Conjugation orbits {x g x^-1}, one batched pass per class."""
+        a = self._rows
+        a_inv = a[self._inv]
+        class_of = np.full(len(self), -1, dtype=np.intp)
         classes: List[ConjugacyClass] = []
-        for i in range(n):
+        for i in range(len(self)):
             if class_of[i] >= 0:
                 continue
-            members = set()
-            for x in range(n):
-                members.add(self.mul(self.mul(x, i), self._inv[x]))
-            members = tuple(sorted(members))
-            cid = len(classes)
-            for j in members:
-                class_of[j] = cid
-            classes.append(ConjugacyClass(i, members))
+            members = np.unique(self._find(self._op(self._op(a, a[i:i + 1]), a_inv)))
+            class_of[members] = len(classes)
+            classes.append(ConjugacyClass(i, tuple(members.tolist())))
         self._classes = tuple(classes)
-        self._class_of = class_of
+        self._class_of = class_of.tolist()
 
     @property
     def classes(self) -> Tuple[ConjugacyClass, ...]:
@@ -315,15 +360,16 @@ class Subgroup(FiniteGroup):
         for v in gen_values:
             if not parent.contains_value(v):
                 raise ValueError(f"generator {v!r} is not in the parent group")
-        elements, index, inv = _bfs_closure(
-            gen_values, parent._op, parent.identity, cap=len(parent) + 1
+        gens = parent._rows[[parent.index_of(v) for v in gen_values]]
+        rows, row_index, inv = _bfs_closure(
+            gens, parent._rows[:1], parent._op, cap=len(parent) + 1
         )
         super().__init__(
-            elements, index, inv, parent._op, parent.kind, parent.degree,
-            parent.modulus, tuple(gen_values),
+            rows, row_index, inv, parent.kind, parent.degree, parent.modulus,
+            tuple(gen_values),
         )
         self.parent = parent
-        self.parent_index = tuple(parent.index_of(v) for v in self.elements)
+        self.parent_index = tuple(parent._find(rows).tolist())
         self._from_parent: Dict[int, int] = {
             pi: si for si, pi in enumerate(self.parent_index)
         }
@@ -333,9 +379,6 @@ class Subgroup(FiniteGroup):
     @property
     def index_in_parent(self) -> int:
         return len(self.parent) // len(self)
-
-    def contains_parent_index(self, pi: int) -> bool:
-        return pi in self._from_parent
 
     def from_parent(self, pi: int) -> int:
         try:
@@ -348,17 +391,16 @@ class Subgroup(FiniteGroup):
 
     def _compute_cosets(self):
         parent = self.parent
-        cid = [-1] * len(parent)
+        cid = np.full(len(parent), -1, dtype=np.intp)
         reps: List[int] = []
         for pi in range(len(parent)):
             if cid[pi] >= 0:
                 continue
-            r = len(reps)
+            coset = parent._find(parent._op(parent._rows[pi:pi + 1], self._rows))
+            cid[coset] = len(reps)
             reps.append(pi)
-            for hpi in self.parent_index:
-                cid[parent.mul(pi, hpi)] = r
         self._transversal = tuple(reps)
-        self._coset_id = cid
+        self._coset_id = cid.tolist()
 
     @property
     def transversal(self) -> Tuple[int, ...]:
@@ -393,6 +435,8 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
             n = int(degree)
         else:
             n = len(gens[0])
+        if n < 1:
+            raise ValueError(f"matrix size must be >= 1, got {n}")
         mats = []
         for g in gens:
             rows = tuple(tuple(int(x) % m for x in row) for row in g)
@@ -401,10 +445,13 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
             if math.gcd(_int_det(rows) % m, m) != 1:
                 raise ValueError(f"generator {rows!r} is not invertible mod {m}")
             mats.append(rows)
-        op = lambda a, b: _mat_mul_mod(a, b, m)
-        identity = _mat_identity(n)
-        elements, index, inv = _bfs_closure(mats, op, identity, cap)
-        return FiniteGroup(elements, index, inv, op, "matrix", n, m, mats, check)
+        # holds every unreduced sum of products; object (Python ints) past 64 bits
+        dtype = np.min_scalar_type(n * (m - 1) ** 2)
+        rows, row_index, inv = _bfs_closure(
+            np.array(mats, dtype=dtype).reshape(-1, n, n),
+            np.eye(n, dtype=dtype)[None], _batch_op("matrix", m), cap,
+        )
+        return FiniteGroup(rows, row_index, inv, "matrix", n, m, mats, check)
 
     cycle_lists = []
     max_point = 0
@@ -431,10 +478,12 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
             if sorted(q) != list(range(deg)):
                 raise ValueError(f"{p!r} is not a permutation")
             perms.append(q)
-    identity = tuple(range(deg))
-    elements, index, inv = _bfs_closure(perms, _perm_mul, identity, cap)
-    return FiniteGroup(elements, index, inv, _perm_mul, "perm", deg, None, perms,
-                       check)
+    dtype = np.min_scalar_type(deg - 1)
+    rows, row_index, inv = _bfs_closure(
+        np.array(perms, dtype=dtype).reshape(-1, deg),
+        np.arange(deg, dtype=dtype)[None], _batch_op("perm", None), cap,
+    )
+    return FiniteGroup(rows, row_index, inv, "perm", deg, None, perms, check)
 
 
 def congruence_group(n: int, m: int, cap: int = 10**6) -> FiniteGroup:

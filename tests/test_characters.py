@@ -18,8 +18,10 @@ from cosetlab.characters import (
     stages_check,
     transfer_character,
 )
-from cosetlab.finitegroup import generate_group
-from cosetlab.suite import irreducibles, registry
+from cosetlab.finitegroup import Subgroup, generate_group
+from cosetlab.suite import TABLE_NAMES, irreducibles, registry
+
+from group_oracle import reference_induce
 
 
 def test_tables_load_and_have_the_right_degrees():
@@ -219,3 +221,30 @@ def test_character_value_on():
     total = sum(chi.value_on(i) for i in range(len(g)))
     # sum over the group of a nontrivial irreducible vanishes
     assert abs(total) < 1e-9
+
+
+def test_induce_character_matches_conjugation_sum():
+    reg = registry()
+    subgroups = [name for name, h in reg.items() if isinstance(h, Subgroup)]
+    assert subgroups
+    for name in subgroups:
+        h = reg[name]
+        chars = [Character.trivial(h)]
+        if name in TABLE_NAMES:
+            chars += irreducibles(name)
+        for chi in chars:
+            ind = induce_character(chi, h.parent)
+            for a, b in zip(ind.values, reference_induce(chi, h.parent)):
+                assert abs(a - b) <= 1e-9, (name, chi.name)
+
+
+def test_induce_character_to_a_subgroup_matches_conjugation_sum():
+    # the first step of induction in stages, whose target is a subgroup
+    reg = registry()
+    for mid_name, low_name in (("s3_in_s4", "c2_in_s4"), ("stab_gl32", "e_in_gl32")):
+        mid = reg[mid_name]
+        low = mid.subgroup_from_values(reg[low_name].elements)
+        chi = Character.trivial(low)
+        ind = induce_character(chi, mid)
+        for a, b in zip(ind.values, reference_induce(chi, mid)):
+            assert abs(a - b) <= 1e-9

@@ -179,6 +179,10 @@ def test_congruence_order_check(capsys):
     assert report["order_bfs"] == 24
     assert report["order_formula"] == 24
     assert report["order_match"] is True
+    code, report, _ = run_json(capsys, "congruence", "3", "3", "--no-meta")
+    assert code == 0
+    assert report["order_bfs"] == 5616
+    assert report["order_match"] is True
 
 
 def test_congruence_witness(capsys):
@@ -229,3 +233,10 @@ def test_unknown_subcommand(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "kesten", "--help")[0] == 0
+
+
+def test_congruence_cap_exceeded(capsys):
+    code, out, err = run(capsys, "congruence", "3", "5", "--cap", "1000")
+    assert code == 3
+    assert out == ""
+    assert "cap 1000" in err

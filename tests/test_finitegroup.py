@@ -2,9 +2,12 @@
 linear machinery."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cosetlab import finitegroup
 from cosetlab.errors import ResourceLimitError
 from cosetlab.finitegroup import (
     FiniteGroup,
@@ -15,6 +18,15 @@ from cosetlab.finitegroup import (
     special_linear_order,
 )
 
+from cosetlab.suite import registry
+
+from group_oracle import (
+    group_mul,
+    perm_mul,
+    reference_classes,
+    reference_closure,
+    reference_cosets,
+)
 from helpers import mat_mul, MAT_ID
 
 
@@ -200,3 +212,89 @@ def test_element_repr():
     assert "()" in reprs or "e" in reprs
     g = congruence_group(2, 2)
     assert g.element_repr(0) == "[[1,0],[0,1]]"
+
+
+def _assert_matches_reference(g, sub=None):
+    mul = group_mul(g)
+    elements, inv = reference_closure(g.generators, g.identity, mul)
+    assert g.elements == elements
+    assert g._inv == inv
+    classes, class_of = reference_classes(elements, inv, mul)
+    assert [(c.rep, c.members) for c in g.classes] == classes
+    assert [g.class_of(i) for i in range(len(g))] == class_of
+    if sub is not None:
+        _assert_matches_reference(sub)
+        transversal, coset_id = reference_cosets(elements, sub.elements, mul)
+        assert sub.transversal == transversal
+        assert [sub.coset_id(i) for i in range(len(g))] == coset_id
+        assert [g.element(pi) for pi in sub.parent_index] == sub.elements
+
+
+_PERM_SETS = st.integers(1, 7).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(d)).map(tuple), max_size=3)))
+
+
+@given(case=_PERM_SETS,
+       slice_products=st.sampled_from([1, 5, finitegroup.SLICE_PRODUCTS]))
+@example(case=(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]), slice_products=5)
+@settings(max_examples=25, deadline=None)
+def test_closure_matches_reference_bfs_on_permutations(case, slice_products):
+    degree, gens = case
+    with mock.patch.object(finitegroup, "SLICE_PRODUCTS", slice_products):
+        g = generate_group(gens, degree=degree)
+        sub = g.subgroup(gens[:1])
+        _assert_matches_reference(g, sub)
+
+
+@pytest.mark.parametrize("slice_products", [3, finitegroup.SLICE_PRODUCTS])
+def test_closure_matches_reference_bfs_on_matrix_groups(slice_products):
+    # SL(2, Z/5), SL(3, Z/2), and the suite's matrix groups rebuilt from
+    # their generators under this slice size
+    reg = registry()
+    cases = [
+        (2, 5, [((1, 1), (0, 1)), ((2, 0), (0, 3))]),
+        (3, 2, [((0, 1, 0), (0, 0, 1), (1, 0, 0))]),
+        (2, 3, reg["borel_sl2z3"].generators),
+        (3, 2, reg["stab_gl32"].generators),
+    ]
+    with mock.patch.object(finitegroup, "SLICE_PRODUCTS", slice_products):
+        for n, m, sub_gens in cases:
+            g = congruence_group(n, m)
+            _assert_matches_reference(g, g.subgroup(sub_gens))
+
+
+def test_closure_with_entries_beyond_64_bits():
+    # signed cyclic rotations of the cube mod 10^30: products of entries
+    # near 10^30 overflow every fixed-width integer type
+    m = 10**30
+    g = generate_group(
+        [((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, -1, 0), (1, 0, 0), (0, 0, 1))],
+        modulus=m,
+    )
+    assert len(g) == 24
+    assert all(x in (0, 1, m - 1) for v in g.elements for row in v for x in row)
+    _assert_matches_reference(g, g.subgroup([((0, m - 1, 0), (1, 0, 0), (0, 0, 1))]))
+
+
+def test_cap_is_checked_per_layer_before_commit():
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    elements, _ = reference_closure(gens, (0, 1, 2, 3), perm_mul)
+    # layer sizes of the walk, read off from the reference order
+    depth = {elements[0]: 0}
+    for x in elements:
+        for g in gens:
+            depth.setdefault(perm_mul(x, g), depth[x] + 1)
+    committed = [sum(1 for d in depth.values() if d <= k)
+                 for k in range(max(depth.values()) + 1)]
+    assert committed[-1] == 24
+    for cap in range(3, 24):  # below 3 the 4-cycle cannot be inverted
+        with pytest.raises(ResourceLimitError) as exc:
+            generate_group(gens, cap=cap)
+        found = max(c for c in committed if c <= cap)
+        assert f"exceeds cap {cap}: {found} elements found" in str(exc.value)
+    assert len(generate_group(gens, cap=24)) == 24
+
+
+def test_matrix_group_needs_positive_size():
+    with pytest.raises(ValueError):
+        generate_group([], modulus=3, degree=0)
