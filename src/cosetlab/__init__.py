@@ -12,7 +12,6 @@ from .freegroup import (
     GElement,
     G_IDENTITY,
     IDENTITY,
-    Letter,
     Word,
     format_gelement,
     format_word,
@@ -38,7 +37,6 @@ from .spectral import (
     free_generator_set,
     kesten_profile,
     markov_operator,
-    norm_lower_bound,
     reiter_search,
 )
 from .finitegroup import (
@@ -58,7 +56,6 @@ from .characters import (
     inner_product,
     invariant_dimension,
     load_character_table,
-    natural_character,
     parse_character_table,
     restrict_character,
     stages_check,

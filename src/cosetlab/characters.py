@@ -15,7 +15,7 @@ load by orthonormality (within 1e-9).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
 from .finitegroup import FiniteGroup, Subgroup
 
@@ -142,17 +142,6 @@ def coset_permutation_character(H: Subgroup) -> Character:
         )
         values.append(complex(fixed))
     return Character(G, values, name="perm")
-
-
-def natural_character(G: FiniteGroup) -> Character:
-    """Fixed-point character of a permutation group on its points."""
-    if G.kind != "perm":
-        raise ValueError("natural character needs a permutation group")
-    values = []
-    for c in G.classes:
-        p = G.element(c.rep)
-        values.append(complex(sum(1 for i, x in enumerate(p) if x == i)))
-    return Character(G, values, name="natural")
 
 
 def transfer_character(chi: Character, target: FiniteGroup) -> Character:

@@ -189,7 +189,7 @@ def _cmd_reciprocity(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     report = {
         "subcommand": "reciprocity",
-        "suite": str(path),
+        "suite": args.suite or "default",
         "entries": [
             {
                 "line": e.line,

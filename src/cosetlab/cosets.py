@@ -25,8 +25,7 @@ order of a node-by-node breadth-first search.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -275,47 +274,6 @@ class OrbitBall:
         if r >= self.radius:
             return len(self)
         return int(np.searchsorted(self.distances, r, side="right"))
-
-    def edges(self) -> Iterator[Tuple[int, int, int]]:
-        """All in-ball edges as (source node, generator index, target node)."""
-        for gi, img in enumerate(self.gen_images):
-            for i, j in enumerate(img.tolist()):
-                if j >= 0:
-                    yield (i, gi, j)
-
-    def boundary(self) -> Iterator[Tuple[int, int]]:
-        """(node, generator index) pairs whose image lies outside the ball."""
-        for gi, img in enumerate(self.gen_images):
-            for i, j in enumerate(img.tolist()):
-                if j < 0:
-                    yield (i, gi)
-
-    def _node_rows(self) -> Iterator[Tuple[int, int, str]]:
-        for i in range(len(self)):
-            c = self.node(i)
-            yield (i, c.level, format_word(c.tail))
-
-    def to_text(self) -> str:
-        """Line-oriented export: node table `idx level tail`, then edge list
-        `src gen dst`, then boundary marks `src gen`."""
-        lines = ["# nodes: idx level tail"]
-        lines.extend(f"{i} {level} {tail}" for (i, level, tail) in self._node_rows())
-        lines.append("# edges: src gen dst")
-        lines.extend(f"{s} {g} {d}" for (s, g, d) in self.edges())
-        lines.append("# boundary: src gen")
-        lines.extend(f"{s} {g}" for (s, g) in self.boundary())
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        doc = {
-            "base": format_gelement(GElement(self.base.level, self.base.tail)),
-            "generators": [format_gelement(g) for g in self.generators],
-            "radius": self.radius,
-            "nodes": [[i, level, tail] for (i, level, tail) in self._node_rows()],
-            "edges": [list(e) for e in self.edges()],
-            "boundary": [list(b) for b in self.boundary()],
-        }
-        return json.dumps(doc, indent=2) + "\n"
 
 
 def _expand(tails, nodes, shifts, letters, lvl, tid, count, grow):

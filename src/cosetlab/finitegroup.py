@@ -15,7 +15,7 @@ import math
 import random
 import re
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,24 +88,6 @@ def _perm_from_cycles(cycles: List[Tuple[int, ...]], degree: int) -> Perm:
         for i in range(degree):
             img[i] = move.get(prev[i], prev[i])
     return tuple(img)
-
-
-def _perm_cycles_repr(p: Perm) -> str:
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cycle = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cycle.append(j)
-            seen[j] = True
-            j = p[j]
-        parts.append("(" + " ".join(str(x + 1) for x in cycle) + ")")
-    return "".join(parts) if parts else "()"
 
 
 def _batch_op(kind: str, modulus: Optional[int]):
@@ -273,12 +255,6 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
-    def element_repr(self, i: int) -> str:
-        v = self.elements[i]
-        if self.kind == "perm":
-            return _perm_cycles_repr(v)
-        return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in v) + "]"
-
     def _verify_axioms(self):
         """Identity and inverse laws on every element (closure holds by
         construction); associativity on a deterministic sample of triples."""
@@ -322,16 +298,6 @@ class FiniteGroup:
             self._compute_classes()
         return self._class_of[i]
 
-    def class_sizes(self) -> Tuple[int, ...]:
-        return tuple(c.size for c in self.classes)
-
-    def element_order(self, i: int) -> int:
-        k, j = 1, i
-        while j != 0:
-            j = self.mul(j, i)
-            k += 1
-        return k
-
     # -- subgroups ----------------------------------------------------------
 
     def _normalize_element(self, g):
@@ -370,21 +336,12 @@ class Subgroup(FiniteGroup):
         )
         self.parent = parent
         self.parent_index = tuple(parent._find(rows).tolist())
-        self._from_parent: Dict[int, int] = {
-            pi: si for si, pi in enumerate(self.parent_index)
-        }
         self._transversal: Optional[Tuple[int, ...]] = None
         self._coset_id: Optional[List[int]] = None
 
     @property
     def index_in_parent(self) -> int:
         return len(self.parent) // len(self)
-
-    def from_parent(self, pi: int) -> int:
-        try:
-            return self._from_parent[pi]
-        except KeyError:
-            raise ValueError("parent element is not in the subgroup") from None
 
     def to_parent(self, si: int) -> int:
         return self.parent_index[si]
@@ -512,23 +469,19 @@ def special_linear_order(n: int, m: int) -> int:
     total = 1
     rest = m
     p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            k = 0
-            while rest % p == 0:
-                rest //= p
-                k += 1
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if k:
             term = p ** ((k - 1) * (n * n - 1)) * p ** (n * (n - 1) // 2)
             for j in range(2, n + 1):
                 term *= p**j - 1
             total *= term
         p += 1
-    if rest > 1:
-        p, k = rest, 1
-        term = p ** ((k - 1) * (n * n - 1)) * p ** (n * (n - 1) // 2)
-        for j in range(2, n + 1):
-            term *= p**j - 1
-        total *= term
     return total
 
 

@@ -12,34 +12,33 @@ is exactly the retraction's kernel.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, Tuple
 
+from .errors import ResourceLimitError
 
-class Letter(NamedTuple):
-    """One generator occurrence x_index ** exponent with exponent +1 or -1."""
-
-    index: int
-    exponent: int
+# Most letters a word literal may expand to (the sum of |exponent| over its
+# tokens); parse_word checks it before expanding anything.
+MAX_WORD_LETTERS = 1 << 20
 
 
 class Word:
     """A reduced word in the generators x_i.  Immutable and hashable.
 
-    The empty word is the group identity.  The constructor validates
-    reducedness; use reduce() to build a Word from an arbitrary letter
-    sequence.
+    letters is a tuple of (index, exponent) int pairs, exponent +1 or -1.
+    The empty word is the group identity.  The constructor validates its
+    input; use reduce() to build a Word from an arbitrary letter sequence.
     """
 
     __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Iterable[Tuple[int, int]] = ()):
-        letters = tuple(Letter(int(i), int(e)) for (i, e) in letters)
+        letters = tuple((int(i), int(e)) for (i, e) in letters)
         for (_, e) in letters:
             if e not in (-1, 1):
                 raise ValueError(f"letter exponent must be +1 or -1, got {e}")
         for a, b in zip(letters, letters[1:]):
-            if a.index == b.index and a.exponent == -b.exponent:
-                raise ValueError(f"word is not reduced at x{a.index}")
+            if a[0] == b[0] and a[1] == -b[1]:
+                raise ValueError(f"word is not reduced at x{a[0]}")
         self.letters = letters
         self._hash = hash(letters)
 
@@ -62,6 +61,15 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
+def _word(letters: list) -> Word:
+    """A Word from int pairs already known to be reduced, unchecked: the
+    results of the operations below are reduced by construction."""
+    w = Word.__new__(Word)
+    w.letters = tuple(letters)
+    w._hash = hash(w.letters)
+    return w
+
+
 IDENTITY = Word(())
 
 
@@ -76,7 +84,7 @@ def reduce(raw: Iterable[Tuple[int, int]]) -> Word:
             out.pop()
         else:
             out.append((i, e))
-    return Word(out)
+    return _word(out)
 
 
 def w_mul(u: Word, v: Word) -> Word:
@@ -87,17 +95,18 @@ def w_mul(u: Word, v: Word) -> Word:
             out.pop()
         else:
             out.append((i, e))
-    return Word(out)
+    return _word(out)
 
 
 def w_inv(u: Word) -> Word:
     """Inverse of a reduced word (reversal with flipped exponents)."""
-    return Word([(i, -e) for (i, e) in reversed(u.letters)])
+    return _word([(i, -e) for (i, e) in reversed(u.letters)])
 
 
 def shift_word(n: int, u: Word) -> Word:
     """Apply the shift automorphism tau_n: every letter index moves by n."""
-    return Word([(i + n, e) for (i, e) in u.letters])
+    n = int(n)
+    return _word([(i + n, e) for (i, e) in u.letters])
 
 
 class GElement:
@@ -153,7 +162,7 @@ def retract(u: Word, n: int) -> Word:
             out.pop()
         else:
             out.append((i, e))
-    return Word(out)
+    return _word(out)
 
 
 def gamma_member(u: Word, n: int) -> bool:
@@ -192,21 +201,29 @@ def parse_word(text: str) -> Word:
     optional `^<exponent>` suffix, or `e` alone for the identity.
 
     Exponents beyond +-1 are expanded into letter runs; the result is reduced.
+    A literal of more than MAX_WORD_LETTERS letters raises ResourceLimitError
+    before anything is expanded.
     """
     tokens = text.split()
     if not tokens:
         raise ValueError("empty word literal (use 'e' for the identity)")
     if tokens == ["e"]:
         return IDENTITY
-    raw: list[Tuple[int, int]] = []
+    parsed = []
     for pos, tok in enumerate(tokens):
         m = _LETTER_RE.match(tok)
         if m is None:
             raise ValueError(f"bad word token {tok!r} at position {pos}")
-        idx = int(m.group(1))
-        exp = 1 if m.group(2) is None else int(m.group(2))
-        sign = 1 if exp >= 0 else -1
-        raw.extend((idx, sign) for _ in range(abs(exp)))
+        parsed.append((int(m.group(1)), 1 if m.group(2) is None else int(m.group(2))))
+    size = sum(abs(exp) for _, exp in parsed)
+    if size > MAX_WORD_LETTERS:
+        raise ResourceLimitError(
+            f"word literal has {size} letters, above MAX_WORD_LETTERS = "
+            f"{MAX_WORD_LETTERS}"
+        )
+    raw: list[Tuple[int, int]] = []
+    for idx, exp in parsed:
+        raw.extend([(idx, 1 if exp >= 0 else -1)] * abs(exp))
     return reduce(raw)
 
 

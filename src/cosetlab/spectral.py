@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,47 +95,25 @@ class SparseOperator:
     Row sums are <= 1, with equality exactly on interior nodes.
     """
 
-    __slots__ = ("counts", "denominator", "basis", "dimension", "_matrix")
+    __slots__ = ("counts", "denominator", "_matrix")
 
-    def __init__(
-        self,
-        counts: sp.spmatrix,
-        denominator: int,
-        basis: Optional[OrbitBall] = None,
-        validate: bool = True,
-    ):
+    def __init__(self, counts: sp.spmatrix, denominator: int):
         counts = counts.tocsr()
         n, m = counts.shape
         if n != m:
             raise ValueError(f"operator must be square, got {counts.shape}")
         if denominator < 1:
             raise ValueError(f"denominator must be positive, got {denominator}")
-        if validate:
-            if (counts != counts.T).nnz != 0:
-                raise ValueError("operator is not symmetric")
-            row_sums = np.asarray(counts.sum(axis=1)).ravel()
-            if len(row_sums) and row_sums.max(initial=0) > denominator:
-                raise ValueError("row sum exceeds 1")
-            if counts.nnz and counts.data.min() < 0:
-                raise ValueError("negative entry count")
+        if (counts != counts.T).nnz != 0:
+            raise ValueError("operator is not symmetric")
+        row_sums = np.asarray(counts.sum(axis=1)).ravel()
+        if len(row_sums) and row_sums.max(initial=0) > denominator:
+            raise ValueError("row sum exceeds 1")
+        if counts.nnz and counts.data.min() < 0:
+            raise ValueError("negative entry count")
         self.counts = counts
         self.denominator = denominator
-        self.basis = basis
-        self.dimension = n
         self._matrix = None
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self.counts[i, j]), self.denominator)
-
-    def row_sum(self, i: int) -> Fraction:
-        start, end = self.counts.indptr[i], self.counts.indptr[i + 1]
-        return Fraction(int(self.counts.data[start:end].sum()), self.denominator)
-
-    def items(self):
-        """((row, col), value) over nonzero entries, values as Fractions."""
-        coo = self.counts.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            yield (int(i), int(j)), Fraction(int(v), self.denominator)
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -161,15 +138,16 @@ def markov_operator(ball: OrbitBall) -> SparseOperator:
     col = images[mask].astype(np.int64)
     data = np.ones(len(row), dtype=np.int64)
     counts = sp.coo_matrix((data, (row, col)), shape=(n, n)).tocsr()
-    return SparseOperator(counts, len(gens), ball)
+    return SparseOperator(counts, len(gens))
 
 
-def _power_iterate(
-    matrix: sp.csr_matrix,
-    v: np.ndarray,
-    iterations: int,
-    tol: float,
-) -> Tuple[float, np.ndarray]:
+# Power-iteration budget per radius: stop after ITERATIONS steps, or once the
+# Rayleigh quotient improves by less than TOL.
+ITERATIONS = 200_000
+TOL = 1e-9
+
+
+def _power_iterate(matrix: sp.csr_matrix, v: np.ndarray) -> Tuple[float, np.ndarray]:
     """Power iteration on (matrix + identity), reading off the Rayleigh
     quotient of matrix itself.
 
@@ -181,12 +159,12 @@ def _power_iterate(
     """
     best = -math.inf
     prev = -math.inf
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         mv = matrix @ v
         ray = float(v @ mv)
         if ray > best:
             best = ray
-        if ray - prev < tol:
+        if ray - prev < TOL:
             break
         prev = ray
         w = mv + v
@@ -195,41 +173,6 @@ def _power_iterate(
             break
         v = w / nw
     return best, v
-
-
-def norm_lower_bound(
-    op: SparseOperator,
-    iterations: int = 10_000,
-    tol: float = 1e-9,
-    start: Optional[np.ndarray] = None,
-) -> float:
-    """Certified lower bound on the operator norm: the best Rayleigh
-    quotient along a power iteration started from the uniform nonnegative
-    vector (or `start`).
-
-    Monotone improving in `iterations`; for symmetric nonnegative operators
-    it converges to the top eigenvalue.  Early convergence (Rayleigh
-    improvement below tol) returns the best value so far.
-    """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    n = op.dimension
-    if n == 0:
-        raise ValueError("operator has dimension 0")
-    if start is None:
-        v = np.full(n, 1.0 / math.sqrt(n))
-    else:
-        v = np.asarray(start, dtype=np.float64).copy()
-        if v.shape != (n,):
-            raise ValueError(f"start vector has shape {v.shape}, expected ({n},)")
-        nv = float(np.linalg.norm(v))
-        if not math.isfinite(nv) or nv == 0.0:
-            raise ValueError("start vector must be finite and nonzero")
-        v /= nv
-    best, _ = _power_iterate(op.matrix, v, iterations, tol)
-    return best
 
 
 @dataclass(frozen=True)
@@ -257,8 +200,6 @@ def kesten_profile(
     gens,
     radii: Sequence[int],
     cap: int = 2_000_000,
-    iterations: int = 200_000,
-    tol: float = 1e-9,
 ) -> SpectralProfile:
     """Norm lower bounds for the Markov operator compressed to orbit balls
     of increasing radius around base.
@@ -282,23 +223,19 @@ def kesten_profile(
             raise ValueError(f"radii must be strictly increasing, got {a} then {b}")
 
     ball = orbit_ball(base, gens.elements, radii[-1], cap=cap)
-    full = markov_operator(ball)
-    counts = full.counts
+    matrix = markov_operator(ball).matrix
 
     estimates = []
     prev_est = 0.0
     v: Optional[np.ndarray] = None
     for r in radii:
         nr = ball.prefix_size(r)
-        # Principal submatrix of a symmetric matrix: symmetry holds, skip
-        # the O(nnz) revalidation done on the full operator above.
-        op = SparseOperator(counts[:nr, :nr], full.denominator, ball, validate=False)
         if v is None:
             start = np.full(nr, 1.0 / math.sqrt(nr))
         else:
             start = np.zeros(nr)
             start[: v.size] = v
-        est, v = _power_iterate(op.matrix, start, iterations, tol)
+        est, v = _power_iterate(matrix[:nr, :nr], start)
         # A lower bound at radius r is a lower bound at every larger radius
         # (ball compressions interlace), so the running maximum is certified.
         prev_est = max(est, prev_est)

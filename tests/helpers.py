@@ -16,7 +16,6 @@ from typing import List, Tuple
 
 from cosetlab.freegroup import (
     GElement,
-    Letter,
     Word,
     reduce,
     w_inv,
@@ -73,7 +72,7 @@ def random_closure_member(rng: random.Random, n: int, factors: int = 3) -> Word:
     out = reduce(())
     for _ in range(rng.randrange(1, factors + 1)):
         u = random_word(rng, 4, n - 4, n + 4)
-        core = Word((Letter(rng.randint(n - 3, n), rng.choice((1, -1))),))
+        core = Word(((rng.randint(n - 3, n), rng.choice((1, -1))),))
         out = w_mul(out, w_mul(u, w_mul(core, w_inv(u))))
     return out
 

@@ -12,7 +12,6 @@ from cosetlab.characters import (
     induce_character,
     inner_product,
     invariant_dimension,
-    natural_character,
     parse_character_table,
     restrict_character,
     stages_check,
@@ -162,13 +161,6 @@ def test_invariant_dimension_of_induced_nontrivial():
             if invariant_dimension(chi) != 0:
                 continue
             assert invariant_dimension(induce_character(chi, g)) == 0
-
-
-def test_natural_character():
-    s3 = registry()["s3"]
-    nat = natural_character(s3)
-    assert nat.degree == 3
-    assert invariant_dimension(nat) == 1  # one orbit on the points
 
 
 def test_transfer_character():

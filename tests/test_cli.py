@@ -1,10 +1,17 @@
 """Command-line front end: reports, exit codes, determinism."""
 
+import io
 import json
 import math
+import shutil
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
+from hypothesis import given, settings, strategies as st
+
+from cosetlab import suite
 from cosetlab.cli import main
+from cosetlab.freegroup import MAX_WORD_LETTERS
 
 
 def run(capsys, *argv):
@@ -149,6 +156,27 @@ def test_reciprocity_default_suite(capsys):
     assert len(report["entries"]) == 15
 
 
+def test_reciprocity_report_names_the_suite_as_given(capsys, tmp_path, monkeypatch):
+    # two checkouts in two working directories give the same bytes
+    outputs = []
+    for name in ("a", "b"):
+        checkout = tmp_path / name
+        shutil.copytree(suite.DATA_DIR, checkout / "data")
+        (checkout / "one.jsonl").write_text(
+            '{"kind": "frobenius", "group": "s3", "subgroup": "c3_in_s3"}\n'
+        )
+        monkeypatch.setattr(suite, "DATA_DIR", checkout / "data")
+        monkeypatch.chdir(checkout)
+        code, default_out, _ = run(capsys, "reciprocity", "--no-meta")
+        assert code == 0
+        assert json.loads(default_out)["suite"] == "default"
+        code, given_out, _ = run(capsys, "reciprocity", "one.jsonl", "--no-meta")
+        assert code == 0
+        assert json.loads(given_out)["suite"] == "one.jsonl"
+        outputs.append((default_out, given_out))
+    assert outputs[0] == outputs[1]
+
+
 def test_reciprocity_malformed_suite(capsys, tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"kind": "mystery"}\n')
@@ -240,3 +268,52 @@ def test_congruence_cap_exceeded(capsys):
     assert code == 3
     assert out == ""
     assert "cap 1000" in err
+
+
+def test_word_literal_past_the_letter_bound_exits_3(capsys):
+    code, out, err = run(capsys, "eymard-verify", "x1^1000000000")
+    assert code == 3
+    assert out == ""
+    assert "MAX_WORD_LETTERS" in err
+
+
+_exponents = st.one_of(
+    st.integers(-50, 50),
+    st.integers(MAX_WORD_LETTERS + 1, 10**12).flatmap(lambda k: st.sampled_from((k, -k))),
+)
+_word_literals = st.lists(
+    st.tuples(st.integers(-10**12, 10**12), _exponents), min_size=1, max_size=3
+)
+
+
+def _run_quiet(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _check_exit(code, literals):
+    if any(sum(abs(k) for _, k in tokens) > MAX_WORD_LETTERS for tokens in literals):
+        assert code == 3
+    else:
+        assert code in (0, 1)
+
+
+def _word_text(tokens):
+    return " ".join(f"x{i}^{k}" for i, k in tokens)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(st.lists(_word_literals, min_size=1, max_size=3))
+def test_eymard_verify_fuzz_exits_in_bounds(literals):
+    code = _run_quiet(["eymard-verify", ", ".join(map(_word_text, literals)),
+                       "--no-meta"])
+    _check_exit(code, literals)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(st.lists(_word_literals, min_size=1, max_size=3),
+       st.lists(st.integers(-50, 50), max_size=2))
+def test_reiter_fuzz_exits_in_bounds(literals, shifts):
+    text = ", ".join([*map(_word_text, literals), *(f"t^{k}" for k in shifts)])
+    code = _run_quiet(["reiter", text, "--epsilon", "0.5", "--no-meta"])
+    _check_exit(code, literals)

@@ -1,6 +1,5 @@
 """Coset canonical forms, the group action, and orbit balls."""
 
-import json
 import os
 import random
 import subprocess
@@ -152,8 +151,10 @@ def test_orbit_ball_distances_and_images():
 def test_orbit_ball_edges_are_symmetric():
     ball = orbit_ball(Coset(0, IDENTITY), gens_x12(), 3)
     seen = {}
-    for src, gen, dst in ball.edges():
-        seen[(src, dst)] = seen.get((src, dst), 0) + 1
+    for img in ball.gen_images:
+        for src, dst in enumerate(img.tolist()):
+            if dst >= 0:
+                seen[(src, dst)] = seen.get((src, dst), 0) + 1
     for (src, dst), count in seen.items():
         assert seen.get((dst, src), 0) == count
 
@@ -162,17 +163,6 @@ def test_orbit_ball_cap():
     with pytest.raises(ResourceLimitError) as exc:
         orbit_ball(Coset(0, IDENTITY), gens_x12(), 10, cap=50)
     assert "radius" in str(exc.value)
-
-
-def test_orbit_ball_serialization():
-    ball = orbit_ball(Coset(0, IDENTITY), gens_x12(), 2)
-    text = ball.to_text()
-    assert text.startswith("# nodes:")
-    assert "\n0 0 e\n" in text
-    data = json.loads(ball.to_json())
-    assert data["nodes"][0] == [0, 0, "e"]
-    assert len(data["nodes"]) == 17
-    assert data["radius"] == 2
 
 
 def test_h_orbit_partition_levels():

@@ -82,15 +82,6 @@ def test_group_operations_are_consistent():
         assert g.mul(a, 0) == a
 
 
-def test_element_order():
-    s4 = generate_group([(1, 0, 2, 3), (1, 2, 3, 0)])
-    orders = sorted(s4.element_order(i) for i in range(len(s4)))
-    assert orders.count(1) == 1
-    assert orders.count(2) == 9  # six 2-cycles plus three double transpositions
-    assert orders.count(3) == 8
-    assert orders.count(4) == 6
-
-
 def test_conjugacy_classes_partition():
     g = congruence_group(2, 3)
     classes = g.classes
@@ -136,7 +127,7 @@ def test_subgroup_element_mapping():
     assert len(borel) == 6
     for i in range(len(borel)):
         parent_idx = borel.to_parent(i)
-        assert borel.from_parent(parent_idx) == i
+        assert borel.parent_index.index(parent_idx) == i
         assert g.element(parent_idx) == borel.element(i)
     with pytest.raises(ValueError):
         g.subgroup([((1, 1), (1, 1))])
@@ -156,6 +147,11 @@ def test_special_linear_order_prime_powers():
     # multiplicative over coprime factors
     assert special_linear_order(2, 6) == 6 * 24
     assert len(congruence_group(2, 6)) == 144
+    # a squared prime with a leftover prime, and two distinct primes
+    assert special_linear_order(2, 12) == 48 * 24
+    assert len(congruence_group(2, 12)) == 1152
+    assert special_linear_order(2, 10) == 6 * 120
+    assert len(congruence_group(2, 10)) == 720
 
 
 def test_congruence_group_validates_input():
@@ -204,14 +200,6 @@ def test_separation_witness_definition():
                        for r in range(2) for c in range(2))
         assert any((m[r][c] - MAT_ID[r][c]) % w != 0
                    for r in range(2) for c in range(2))
-
-
-def test_element_repr():
-    s3 = generate_group([(1, 0, 2), (1, 2, 0)])
-    reprs = {s3.element_repr(i) for i in range(len(s3))}
-    assert "()" in reprs or "e" in reprs
-    g = congruence_group(2, 2)
-    assert g.element_repr(0) == "[[1,0],[0,1]]"
 
 
 def _assert_matches_reference(g, sub=None):

@@ -3,14 +3,17 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosetlab.cosets import normal_form
+from cosetlab.errors import ResourceLimitError
 from cosetlab.freegroup import (
     G_IDENTITY,
     GElement,
     IDENTITY,
-    Letter,
+    MAX_WORD_LETTERS,
     Word,
     format_gelement,
     format_word,
@@ -34,21 +37,21 @@ def test_reduce_cancels_adjacent_inverses():
     assert reduce([(1, 1), (1, -1)]) == IDENTITY
     assert reduce([(1, 1), (2, 1), (2, -1), (1, -1)]) == IDENTITY
     assert reduce([(1, 1), (2, 1), (2, -1), (3, 1)]) == Word(
-        (Letter(1, 1), Letter(3, 1))
+        ((1, 1), (3, 1))
     )
 
 
 def test_reduce_cascades():
     # outer pair only cancels after the inner pair does
     raw = [(5, 1), (2, 1), (2, -1), (5, -1), (7, 1)]
-    assert reduce(raw) == Word((Letter(7, 1),))
+    assert reduce(raw) == Word(((7, 1),))
 
 
 def test_word_constructor_rejects_unreduced():
     with pytest.raises(ValueError):
-        Word((Letter(1, 1), Letter(1, -1)))
+        Word(((1, 1), (1, -1)))
     with pytest.raises(ValueError):
-        Word((Letter(1, 2),))
+        Word(((1, 2),))
 
 
 def test_w_mul_and_inverse():
@@ -207,11 +210,26 @@ def test_parse_word_round_trip():
 
 def test_parse_word_forms():
     assert parse_word("e") == IDENTITY
-    assert parse_word("x3") == Word((Letter(3, 1),))
-    assert parse_word("x-2^-1") == Word((Letter(-2, -1),))
-    assert parse_word("x1^3") == Word((Letter(1, 1),) * 3)
-    assert parse_word("x1^-2 x1") == Word((Letter(1, -1),))
+    assert parse_word("x3") == Word(((3, 1),))
+    assert parse_word("x-2^-1") == Word(((-2, -1),))
+    assert parse_word("x1^3") == Word(((1, 1),) * 3)
+    assert parse_word("x1^-2 x1") == Word(((1, -1),))
     assert parse_word("  x1   x2 ") == parse_word("x1 x2")
+
+
+def test_parse_word_bounds_literal_size():
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as exc:
+        parse_word("x1^1000000000")
+    assert time.perf_counter() - started < 0.1
+    message = str(exc.value)
+    assert f"MAX_WORD_LETTERS = {MAX_WORD_LETTERS}" in message
+    assert "1000000000 letters" in message
+    # the bound is on the sum over tokens, not per token
+    half = MAX_WORD_LETTERS // 2 + 1
+    with pytest.raises(ResourceLimitError):
+        parse_word(f"x1^{half} x2^-{half}")
+    assert parse_word("x1^3") == Word(((1, 1),) * 3)
 
 
 def test_parse_word_errors_carry_position():
@@ -247,3 +265,29 @@ def test_words_hash_consistently():
     a = GElement(2, u)
     b = GElement(2, v)
     assert a == b and hash(a) == hash(b)
+
+
+raw_letters = st.lists(st.tuples(st.integers(-6, 6), st.sampled_from((1, -1))),
+                       max_size=10)
+words = raw_letters.map(reduce)
+elements = st.builds(GElement, st.integers(-4, 4), words)
+
+
+def _assert_validated(w):
+    assert isinstance(w, Word)
+    for letter in w.letters:
+        assert type(letter) is tuple and len(letter) == 2
+        assert type(letter[0]) is int and type(letter[1]) is int
+    assert Word(w.letters) == w
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_letters, words, words, st.integers(-6, 6), elements, elements)
+def test_operations_return_validated_words(raw, u, v, n, a, b):
+    # these results skip the constructor's checks, so they must pass them
+    for w in (
+        reduce(raw), w_mul(u, v), w_inv(u), shift_word(n, u),
+        shift_word(np.int64(n), u), retract(u, n), g_mul(a, b).word,
+        g_inv(a).word, normal_form(a).tail,
+    ):
+        _assert_validated(w)
