@@ -24,9 +24,9 @@ from typing import List, Optional
 
 from . import __version__
 from .errors import ResourceLimitError
-from .freegroup import format_gelement, format_word, parse_gelement, parse_word
+from .freegroup import IDENTITY, format_gelement, format_word
+from .freegroup import parse_gelement, parse_literals, parse_word
 from .cosets import Coset
-from .freegroup import IDENTITY
 from .spectral import (
     GenSet,
     delta_invariance_check,
@@ -43,13 +43,13 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _parse_radii(text: str, cap: int) -> List[int]:
+def _parse_radii(text: str, cap: int, k: int) -> List[int]:
     """Radii literal: comma-separated integers and lo..hi ranges, e.g.
     "1..10" or "1,2,5" or "1,3..6,10"; must be strictly increasing.
 
-    A ball of radius r in the free orbit has at least 2r + 1 nodes, so a
-    radius whose ball cannot fit the node cap is rejected before its range
-    is expanded.
+    A ball of radius r >= 1 in the free orbit of k generators has at least
+    2 max(r, k) + 1 nodes, so a radius whose ball cannot fit the node cap
+    is rejected before its range is expanded or the generators are built.
     """
     radii: List[int] = []
     for chunk in text.split(","):
@@ -65,10 +65,10 @@ def _parse_radii(text: str, cap: int) -> List[int]:
             raise ValueError(f"radii must be >= 1, got {lo}")
         if radii and lo <= radii[-1]:
             raise ValueError(f"radii must be strictly increasing ({radii[-1]} then {lo})")
-        if 2 * hi + 1 > cap:
+        if 2 * max(hi, k) + 1 > cap:
             raise ResourceLimitError(
-                f"radius {hi} needs at least {2 * hi + 1} orbit nodes, "
-                f"above --cap {cap}"
+                f"radius {hi} with -k {k} needs at least {2 * max(hi, k) + 1} "
+                f"orbit nodes, above --cap {cap}"
             )
         radii.extend(range(lo, hi + 1))
     return radii
@@ -88,14 +88,6 @@ def _parse_matrix(text: str):
     return tuple(rows)
 
 
-def _split_literals(text: str, what: str) -> List[str]:
-    parts = [p.strip() for p in text.split(",")]
-    parts = [p for p in parts if p]
-    if not parts:
-        raise ValueError(f"{what} literal is empty")
-    return parts
-
-
 def _emit(report: dict, args) -> None:
     if not args.no_meta:
         report = dict(report)
@@ -113,7 +105,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _cmd_eymard_verify(args) -> int:
-    words = [parse_word(lit) for lit in _split_literals(args.words, "word set")]
+    words = parse_literals(args.words, "word", parse_word)
     level, deviations = delta_invariance_check(words)
     ok = all(d == 0.0 for d in deviations.values())
     report = {
@@ -127,11 +119,9 @@ def _cmd_eymard_verify(args) -> int:
 
 
 def _cmd_kesten(args) -> int:
-    if args.k < 1:
-        raise ValueError(f"generator count must be >= 1, got {args.k}")
     if args.cap < 1:
         raise ValueError(f"node cap must be positive, got {args.cap}")
-    radii = _parse_radii(args.radii, args.cap)
+    radii = _parse_radii(args.radii, args.cap, args.k)
     gens = free_generator_set(args.k)
     profile = kesten_profile(Coset(0, IDENTITY), gens, radii, cap=args.cap)
     limit = math.sqrt(2 * args.k - 1) / args.k
@@ -155,11 +145,7 @@ def _cmd_kesten(args) -> int:
 
 
 def _cmd_reiter(args) -> int:
-    if not (0.0 < args.epsilon < 2.0):
-        raise ValueError(f"epsilon must lie in (0, 2), got {args.epsilon}")
-    gens = GenSet.symmetrized(
-        parse_gelement(lit) for lit in _split_literals(args.generators, "generator")
-    )
+    gens = GenSet.symmetrized(parse_literals(args.generators, "generator", parse_gelement))
     cert = reiter_search(gens, args.epsilon, max_window=args.window)
     ok = cert.max_deviation <= args.epsilon
     report = {
@@ -170,6 +156,9 @@ def _cmd_reiter(args) -> int:
         "window_size": cert.window_size,
         "amplitude": 1.0 / math.sqrt(cert.window_size),
         "deviations": {format_gelement(g): d for g, d in cert.deviations.items()},
+        "deviation_squared": {
+            format_gelement(g): str(q) for g, q in cert.deviation_squared.items()
+        },
         "max_deviation": cert.max_deviation,
         "pass": ok,
     }

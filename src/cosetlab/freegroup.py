@@ -196,6 +196,30 @@ _T_RE = re.compile(r"^t(?:\^(-?\d+))?$")
 _PAIR_RE = re.compile(r"^\(\s*(-?\d+)\s*;(.*)\)$")
 
 
+def _check_letters(size: int, what: str) -> None:
+    if size > MAX_WORD_LETTERS:
+        raise ResourceLimitError(
+            f"{what} has {size} letters, above MAX_WORD_LETTERS = {MAX_WORD_LETTERS}"
+        )
+
+
+def _word_tokens(text: str) -> Tuple[list, int]:
+    """The checked (index, exponent) tokens of a word literal, unexpanded
+    (none for `e`), and the number of letters they expand to."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty word literal (use 'e' for the identity)")
+    if tokens == ["e"]:
+        return [], 0
+    parsed = []
+    for pos, tok in enumerate(tokens):
+        m = _LETTER_RE.match(tok)
+        if m is None:
+            raise ValueError(f"bad word token {tok!r} at position {pos}")
+        parsed.append((int(m.group(1)), 1 if m.group(2) is None else int(m.group(2))))
+    return parsed, sum(abs(exp) for _, exp in parsed)
+
+
 def parse_word(text: str) -> Word:
     """Parse a word literal: whitespace-separated `x<index>` tokens with an
     optional `^<exponent>` suffix, or `e` alone for the identity.
@@ -204,23 +228,8 @@ def parse_word(text: str) -> Word:
     A literal of more than MAX_WORD_LETTERS letters raises ResourceLimitError
     before anything is expanded.
     """
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty word literal (use 'e' for the identity)")
-    if tokens == ["e"]:
-        return IDENTITY
-    parsed = []
-    for pos, tok in enumerate(tokens):
-        m = _LETTER_RE.match(tok)
-        if m is None:
-            raise ValueError(f"bad word token {tok!r} at position {pos}")
-        parsed.append((int(m.group(1)), 1 if m.group(2) is None else int(m.group(2))))
-    size = sum(abs(exp) for _, exp in parsed)
-    if size > MAX_WORD_LETTERS:
-        raise ResourceLimitError(
-            f"word literal has {size} letters, above MAX_WORD_LETTERS = "
-            f"{MAX_WORD_LETTERS}"
-        )
+    parsed, size = _word_tokens(text)
+    _check_letters(size, "word literal")
     raw: list[Tuple[int, int]] = []
     for idx, exp in parsed:
         raw.extend([(idx, 1 if exp >= 0 else -1)] * abs(exp))
@@ -234,22 +243,35 @@ def format_word(u: Word) -> str:
     return " ".join(f"x{i}" if e == 1 else f"x{i}^-1" for (i, e) in u.letters)
 
 
+def _split_gelement(text: str) -> Tuple[int, str]:
+    """The shift of an element literal and its word literal."""
+    s = text.strip()
+    m = _T_RE.match(s)
+    if m:
+        return 1 if m.group(1) is None else int(m.group(1)), "e"
+    m = _PAIR_RE.match(s)
+    if m:
+        return int(m.group(1)), m.group(2).strip() or "e"
+    return 0, s
+
+
 def parse_gelement(text: str) -> GElement:
     """Parse an element literal: `(n; <word>)`, a bare word (shift 0), or
     the shorthand `t` / `t^k` for (k; e)."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty element literal")
-    m = _T_RE.match(s)
-    if m:
-        return GElement(1 if m.group(1) is None else int(m.group(1)), IDENTITY)
-    m = _PAIR_RE.match(s)
-    if m:
-        shift = int(m.group(1))
-        body = m.group(2).strip()
-        word = IDENTITY if body in ("", "e") else parse_word(body)
-        return GElement(shift, word)
-    return GElement(0, parse_word(s))
+    shift, body = _split_gelement(text)
+    return GElement(shift, parse_word(body))
+
+
+def parse_literals(text: str, what: str, parse) -> list:
+    """Parse comma-separated word or element literals with parse, once
+    their letters summed over the whole list are known to fit
+    MAX_WORD_LETTERS; a bare word literal is an element literal, so both
+    are counted by their checked tokens without expanding any."""
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise ValueError(f"{what} literal is empty")
+    _check_letters(sum(_word_tokens(_split_gelement(p)[1])[1] for p in parts), f"{what} list")
+    return [parse(p) for p in parts]
 
 
 def format_gelement(a: GElement) -> str:

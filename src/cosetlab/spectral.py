@@ -2,8 +2,9 @@
 
 Markov averaging operators of symmetric generator multisets, certified
 spectral-radius lower bounds via power iteration, exact invariance checks
-for single basis vectors, and constructive almost-invariant (Reiter)
-vectors built by window averaging along the shift direction.
+for single basis vectors, and almost-invariant (Reiter) vectors: uniform
+on a window of cosets along the shift direction, with their deviations in
+closed form as exact rationals 2m/N.  Only the operators load scipy.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cosets import Coset, OrbitBall, act, orbit_ball
 from .errors import ResourceLimitError
@@ -72,9 +73,6 @@ class GenSet:
     def describe(self) -> str:
         return ", ".join(format_gelement(g) for g in self.elements)
 
-    def __repr__(self) -> str:
-        return f"GenSet([{self.describe()}])"
-
 
 def free_generator_set(k: int) -> GenSet:
     """The symmetric set {(0, x_1)^{+-1}, ..., (0, x_k)^{+-1}}."""
@@ -130,6 +128,8 @@ def markov_operator(ball: OrbitBall) -> SparseOperator:
     The ball's generator multiset must be symmetric; then M is exactly
     symmetric with rational entries of denominator |S|.
     """
+    import scipy.sparse as sp
+
     gens = GenSet(ball.generators)
     n = len(ball)
     images = np.asarray(ball.gen_images)
@@ -263,8 +263,7 @@ def delta_invariance_check(
         if not isinstance(w, Word):
             raise TypeError(f"expected Word, got {type(w).__name__}")
     if level is None:
-        levels = [minimal_level(w) for w in words if w.letters]
-        level = max(levels) if levels else 0
+        level = max((minimal_level(w) for w in words if w.letters), default=0)
     base = Coset(int(level), IDENTITY)
     deviations: Dict[Word, float] = {}
     for w in words:
@@ -274,52 +273,42 @@ def delta_invariance_check(
 
 
 class ReiterCertificate:
-    """A unit vector on the coset space together with its exact deviations
-    ||lambda(s) xi - xi|| for every s in the generator multiset; all
-    deviations are at most epsilon."""
+    """The uniform unit vector xi on the window of cosets Coset(n, e),
+    window_start < n <= window_start + window_size, of which g moves
+    moved[g] out: ||lambda(g) xi - xi||^2 = 2 moved[g] / window_size
+    exactly, and every deviation is at most epsilon."""
 
-    __slots__ = ("vector", "norm", "deviations", "epsilon", "window_start", "window_size")
+    __slots__ = ("moved", "epsilon", "window_start", "window_size")
 
-    def __init__(self, vector, norm, deviations, epsilon, window_start, window_size):
-        if not deviations:
-            raise ValueError("certificate needs at least one deviation")
-        worst = max(deviations.values())
-        if worst > epsilon:
-            raise ValueError(f"max deviation {worst} exceeds epsilon {epsilon}")
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"vector norm {norm} is not 1")
-        self.vector = dict(vector)
-        self.norm = norm
-        self.deviations = dict(deviations)
-        self.epsilon = epsilon
-        self.window_start = window_start
-        self.window_size = window_size
+    def __init__(self, moved, epsilon, window_start, window_size):
+        self.moved, self.epsilon = dict(moved), epsilon
+        self.window_start, self.window_size = window_start, window_size
+        if window_size < 1 or not all(0 <= m <= window_size for m in self.moved.values()):
+            raise ValueError(f"moved counts {self.moved} do not fit a window of {window_size}")
+        if max(self.deviation_squared.values()) > Fraction(epsilon) ** 2:
+            raise ValueError(f"max deviation {self.max_deviation} exceeds epsilon {epsilon}")
+
+    @property
+    def deviation_squared(self) -> Dict[GElement, Fraction]:
+        return {g: Fraction(2 * m, self.window_size) for g, m in self.moved.items()}
+
+    @property
+    def deviations(self) -> Dict[GElement, float]:
+        # float(2m/N) and sqrt are correctly rounded and rounding is monotone,
+        # so 2m/N <= epsilon^2 exactly gives sqrt <= sqrt(fl(epsilon^2)) = epsilon.
+        return {g: math.sqrt(q) for g, q in self.deviation_squared.items()}
 
     @property
     def max_deviation(self) -> float:
         return max(self.deviations.values())
 
     def recompute_deviations(self) -> Dict[GElement, float]:
-        """Re-derive every deviation from the stored vector by exact coset
-        action; must reproduce the stored values."""
-        return _exact_deviations(self.vector, self.deviations.keys())
-
-
-def _exact_deviations(vector: Dict[Coset, float], gens) -> Dict[GElement, float]:
-    devs: Dict[GElement, float] = {}
-    for g in gens:
-        if g in devs:
-            continue
-        moved = {act(g, c): a for c, a in vector.items()}
-        extra = [c for c in moved if c not in vector]
-        acc = 0.0
-        for c in vector:
-            d = moved.get(c, 0.0) - vector[c]
-            acc += d * d
-        for c in extra:
-            acc += moved[c] * moved[c]
-        devs[g] = math.sqrt(acc)
-    return devs
+        """Recount every m by acting on each window coset; must reproduce
+        the deviations."""
+        lo, hi = self.window_start, self.window_start + self.window_size
+        window = {Coset(n, IDENTITY) for n in range(lo + 1, hi + 1)}
+        moved = {g: sum(act(g, c) not in window for c in window) for g in self.moved}
+        return {g: math.sqrt(Fraction(2 * m, hi - lo)) for g, m in moved.items()}
 
 
 def reiter_search(S, epsilon: float, max_window: int = 1 << 20) -> ReiterCertificate:
@@ -328,30 +317,30 @@ def reiter_search(S, epsilon: float, max_window: int = 1 << 20) -> ReiterCertifi
     n0 < n <= n0 + N, where n0 is the largest minimal level among the
     word parts of S.
 
-    Every shift-0 part acts trivially above its level, so only the shift
-    components move the window; a shift of size k displaces at most 2|k|
-    basis vectors, giving deviation <= sqrt(2 K / N) for K = max shift.  N
-    starts at the smallest value that bound admits and doubles until the
-    exactly-computed deviations all fall within epsilon.
+    N starts at the smallest value the bound sqrt(2K/N) admits, K the
+    largest shift, and doubles until 2 max m / N <= epsilon^2 in exact
+    rational arithmetic.
     """
     if not isinstance(S, GenSet):
         S = GenSet(S)
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 2.0):
         raise ValueError(f"epsilon must lie in (0, 2), got {epsilon}")
-    word_levels = [minimal_level(g.word) for g in S if g.word.letters]
-    n0 = max(word_levels) if word_levels else 0
+    n0 = max((minimal_level(g.word) for g in S if g.word.letters), default=0)
     K = max(abs(g.shift) for g in S)
-    N = max(1, math.ceil(2 * K / (epsilon * epsilon))) if K else 1
+    N = max(1, math.ceil(2 * K / (epsilon * epsilon)))
     while True:
         if N > max_window:
             raise ResourceLimitError(
                 f"window size {N} exceeds cap {max_window} at epsilon {epsilon}"
             )
-        amp = 1.0 / math.sqrt(N)
-        vector = {Coset(n, IDENTITY): amp for n in range(n0 + 1, n0 + N + 1)}
-        norm = math.sqrt(math.fsum(a * a for a in vector.values()))
-        devs = _exact_deviations(vector, S.elements)
-        if max(devs.values()) <= epsilon:
-            return ReiterCertificate(vector, norm, devs, epsilon, n0, N)
+        # g = (k, w) sends Coset(n, e) to Coset(n + k, retract(w, n + k)),
+        # injectively in n.  An image can be in the window only at a level
+        # above n0 >= minimal_level(w), where w retracts to e; so exactly the
+        # window cosets with n + k outside (n0, n0 + N] leave, m = min(|k|, N)
+        # of them.  xi and lambda(g) xi are uniform on N cosets each and
+        # differ on 2m, so ||lambda(g) xi - xi||^2 = 2m / N.
+        moved = {g: min(abs(g.shift), N) for g in S}
+        if Fraction(2 * max(moved.values()), N) <= Fraction(epsilon) ** 2:
+            return ReiterCertificate(moved, epsilon, n0, N)
         N *= 2

@@ -3,9 +3,13 @@
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -103,6 +107,20 @@ def test_kesten_radii_beyond_cap_rejected_before_expansion(capsys):
     assert run(capsys, "kesten", "--cap", "0")[0] == 2
 
 
+def test_kesten_generator_count_beyond_cap_rejected_before_building(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "kesten", "-k", "10000000", "--radii", "1")
+    assert code == 3
+    assert out == ""
+    assert "20000001" in err and "--cap 2000000" in err
+    assert time.perf_counter() - started < 2.0
+    # a radius-1 ball of k free generators has exactly 2k + 1 nodes
+    code, _, err = run(capsys, "kesten", "-k", "3", "--radii", "1", "--cap", "6")
+    assert code == 3
+    assert "at least 7" in err and "--cap 6" in err
+    assert run(capsys, "kesten", "-k", "3", "--radii", "1", "--cap", "7", "--no-meta")[0] == 0
+
+
 def test_kesten_csv(capsys, tmp_path):
     csv_path = tmp_path / "profile.csv"
     code, report, _ = run_json(
@@ -126,6 +144,26 @@ def test_reiter_shift_generator(capsys):
     assert report["window_size"] == 50
     assert report["max_deviation"] == 0.2
     assert set(report["deviations"]) == {"(1; e)", "(-1; e)"}
+
+
+def test_reiter_window_is_the_first_that_certifies_exactly(capsys):
+    # 2 * 6 / 30000 = 1/2500 <= 0.02^2: summed float squares overshot
+    # that boundary and doubled the window to 60,000
+    code, report, _ = run_json(capsys, "reiter", "t^6", "--epsilon", "0.02", "--no-meta")
+    assert code == 0
+    assert report["window_size"] == 30000
+    assert report["deviation_squared"] == {"(6; e)": "1/2500", "(-6; e)": "1/2500"}
+    assert report["max_deviation"] == 0.02
+    code, report, _ = run_json(
+        capsys, "reiter", "t^5, x17 x24 x17^-1", "--epsilon", "0.02", "--no-meta"
+    )
+    assert code == 0
+    assert (report["window_start"], report["window_size"]) == (24, 25000)
+    assert report["deviation_squared"] == {
+        "(5; e)": "1/2500", "(-5; e)": "1/2500",
+        "(0; x17 x24 x17^-1)": "0", "(0; x17 x24^-1 x17^-1)": "0",
+    }
+    assert report["max_deviation"] == 0.02
 
 
 def test_reiter_word_generator(capsys):
@@ -277,6 +315,40 @@ def test_word_literal_past_the_letter_bound_exits_3(capsys):
     assert "MAX_WORD_LETTERS" in err
 
 
+def test_literal_lists_are_bounded_as_a_whole(capsys):
+    n = MAX_WORD_LETTERS
+    for argv in (
+        ["eymard-verify", f"x1^{n}, x2^{n}"],
+        ["reiter", f"t, x1^{n // 2}, (3; x2^{n // 2} x3)", "--epsilon", "0.5"],
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"has {n + 1 if argv[0] == 'reiter' else 2 * n} letters" in err
+        assert "MAX_WORD_LETTERS" in err
+        assert time.perf_counter() - started < 1.0
+
+
+def test_only_kesten_loads_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from cosetlab.cli import main\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    runs = [["--version"], ["reiter", "t", "--epsilon", "0.5"], ["eymard-verify", "x1"],
+            ["reciprocity"], ["congruence", "2", "3"], ["kesten", "-k", "1", "--radii", "1"]]
+    got = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert json.loads(got.stdout) == [False] * 5 + [True]
+
+
 _exponents = st.one_of(
     st.integers(-50, 50),
     st.integers(MAX_WORD_LETTERS + 1, 10**12).flatmap(lambda k: st.sampled_from((k, -k))),
@@ -292,7 +364,7 @@ def _run_quiet(argv):
 
 
 def _check_exit(code, literals):
-    if any(sum(abs(k) for _, k in tokens) > MAX_WORD_LETTERS for tokens in literals):
+    if sum(abs(k) for tokens in literals for _, k in tokens) > MAX_WORD_LETTERS:
         assert code == 3
     else:
         assert code in (0, 1)

@@ -5,10 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetlab.cosets import Coset, orbit_ball
 from cosetlab.errors import ResourceLimitError
-from cosetlab.freegroup import GElement, IDENTITY, parse_gelement, parse_word
+from cosetlab.freegroup import GElement, IDENTITY, parse_gelement, parse_word, reduce
 from cosetlab.spectral import (
     GenSet,
     ReiterCertificate,
@@ -19,6 +20,8 @@ from cosetlab.spectral import (
     markov_operator,
     reiter_search,
 )
+
+from coset_oracle import _exact_deviations, window_vector
 
 # Largest eigenvalues of the radius-r ball truncations of the simple random
 # walk on a rank-2 free group, computed from the radial reduction: the walk
@@ -218,7 +221,10 @@ def test_reiter_search_mixed_generators():
     for g, d in cert.deviations.items():
         if g.shift == 0:
             assert d == 0.0
-    assert abs(sum(a * a for a in cert.vector.values()) - 1.0) < 1e-12
+    vector = window_vector(cert.window_start, cert.window_size)
+    assert abs(sum(a * a for a in vector.values()) - 1.0) < 1e-12
+    oracle = _exact_deviations(vector, gens)
+    assert all(abs(oracle[g] - d) < 1e-12 for g, d in cert.deviations.items())
 
 
 def test_reiter_search_validates_epsilon():
@@ -235,11 +241,17 @@ def test_reiter_search_window_cap():
 
 
 def test_reiter_certificate_validation():
-    c = Coset(1, IDENTITY)
-    with pytest.raises(ValueError):
-        ReiterCertificate({c: 1.0}, 1.0, {parse_gelement("t"): 0.5}, 0.2, 0, 1)
-    with pytest.raises(ValueError):
-        ReiterCertificate({c: 2.0}, 2.0, {parse_gelement("t"): 0.1}, 0.2, 0, 1)
+    t = parse_gelement("t")
+    assert ReiterCertificate({t: 1}, 0.2, 0, 50).deviations == {t: 0.2}
+    # deviation 0.5 above epsilon, and sqrt(2/49) just above it
+    for size in (8, 49):
+        with pytest.raises(ValueError):
+            ReiterCertificate({t: 1}, 0.2, 0, size)
+    # the uniform vector has unit norm only on a nonempty window, and a
+    # generator moves between 0 and all of its cosets
+    for moved, size in (({t: 0}, 0), ({t: -1}, 50), ({t: 51}, 50)):
+        with pytest.raises(ValueError):
+            ReiterCertificate(moved, 0.2, 0, size)
 
 
 def test_reiter_deviation_bound_randomized():
@@ -252,3 +264,32 @@ def test_reiter_deviation_bound_randomized():
         cert = reiter_search(gens, eps)
         bound = math.sqrt(2.0 * k / cert.window_size)
         assert cert.max_deviation <= bound + 1e-12
+
+
+@st.composite
+def reiter_inputs(draw):
+    offset = draw(st.sampled_from((0, 10**6, -(10**6))))
+
+    def word():
+        letters = st.tuples(st.integers(offset - 3, offset + 3), st.sampled_from((1, -1)))
+        return reduce(draw(st.lists(letters, max_size=4)))
+
+    # letters within 3 of the offset straddle the window start, the largest
+    # minimal level of the word parts; epsilon >= 0.44 keeps the window
+    # at most 2 * 6 / 0.44^2 < 64 cosets, with shifts above it as well
+    gens = [GElement(draw(st.integers(-6, 6)), word()) for _ in range(draw(st.integers(1, 3)))]
+    return GenSet.symmetrized(gens), draw(st.floats(0.44, 1.99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reiter_inputs())
+def test_reiter_closed_form_matches_recount(inputs):
+    gens, eps = inputs
+    cert = reiter_search(gens, eps)
+    assert cert.window_size <= 64
+    assert cert.max_deviation <= eps
+    # the act recount compares integer counts: sqrt(2m/N) is injective in m
+    assert cert.recompute_deviations() == cert.deviations
+    oracle = _exact_deviations(window_vector(cert.window_start, cert.window_size), gens)
+    assert all(abs(oracle[g] - d) < 1e-12 for g, d in cert.deviations.items())
+    assert all(abs(float(q) - oracle[g] ** 2) < 1e-12 for g, q in cert.deviation_squared.items())
