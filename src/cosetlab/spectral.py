@@ -1,10 +1,11 @@
 """Quantitative amenability testing on coset orbit balls.
 
 Markov averaging operators of symmetric generator multisets, certified
-spectral-radius lower bounds via power iteration, exact invariance checks
-for single basis vectors, and almost-invariant (Reiter) vectors: uniform
-on a window of cosets along the shift direction, with their deviations in
-closed form as exact rationals 2m/N.  Only the operators load scipy.
+spectral-radius lower bounds by a matrix-free LOBPCG on a ball's generator
+images, exact invariance checks for single basis vectors, and
+almost-invariant (Reiter) vectors: uniform on a window of cosets along the
+shift direction, with their deviations in closed form as exact rationals
+2m/N.  Only markov_operator, the sparse-matrix referee, loads scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .freegroup import (
     minimal_level,
     parse_word,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class GenSet:
@@ -126,7 +130,8 @@ def markov_operator(ball: OrbitBall) -> SparseOperator:
     the ball (images outside the ball dropped: zero boundary).
 
     The ball's generator multiset must be symmetric; then M is exactly
-    symmetric with rational entries of denominator |S|.
+    symmetric with rational entries of denominator |S|.  This is the
+    sparse-matrix referee for kesten_profile, which does not use it.
     """
     import scipy.sparse as sp
 
@@ -141,38 +146,108 @@ def markov_operator(ball: OrbitBall) -> SparseOperator:
     return SparseOperator(counts, len(gens))
 
 
-# Power-iteration budget per radius: stop after ITERATIONS steps, or once the
-# Rayleigh quotient improves by less than TOL.
-ITERATIONS = 200_000
-TOL = 1e-9
+# A radius stops once the Rayleigh quotient gains less than GAIN, or after
+# MAX_STEPS steps.  A Gram matrix of unit vectors with an eigenvalue below
+# RANK_FLOOR has lost rank.
+GAIN, MAX_STEPS, RANK_FLOOR = 1e-13, 10_000, 1e-10
 
 
-def _power_iterate(matrix: sp.csr_matrix, v: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Power iteration on (matrix + identity), reading off the Rayleigh
-    quotient of matrix itself.
+def _edges(ball: OrbitBall) -> Tuple[np.ndarray, np.ndarray]:
+    """The (node, image) pairs of the generator images inside the ball,
+    sorted by node, once a copy of each generator's inverse is checked to
+    undo it on each: then the walk operator is symmetric at every radius."""
+    partner, waiting = np.arange(len(ball.generators)), {}
+    for s, g in enumerate(ball.generators):
+        if waiting.get(g_inv(g)):
+            partner[s] = t = waiting[g_inv(g)].pop()
+            partner[t] = s
+        else:
+            waiting.setdefault(g, []).append(s)
+    images = ball.gen_images
+    nodes, gens = np.nonzero((images >= 0).T)
+    targets = images[gens, nodes].astype(np.intp)
+    bad = gens[images[partner[gens], targets] != nodes]
+    if bad.size:
+        s = bad[0]
+        raise ValueError(
+            f"operator is not symmetric: {format_gelement(ball.generators[partner[s]])} "
+            f"does not undo {format_gelement(ball.generators[s])} on the ball")
+    return np.ascontiguousarray(nodes), targets  # nonzero returns strided views
 
-    The +identity shift makes the iterated operator positive semidefinite
-    (the matrix is symmetric with norm <= 1), which guarantees the Rayleigh
-    readout is nondecreasing along iterates and converges to the top
-    eigenvalue even on bipartite balls, where unshifted iteration stalls.
-    Returns (best Rayleigh quotient seen, final unit iterate).
+
+def _walk(edges: Tuple[np.ndarray, np.ndarray], n: int, size: int):
+    """v -> Mv for the walk of size generators compressed to the first n
+    nodes: (Mv)_i sums v over the images of node i in the prefix, over size."""
+    m = int(np.searchsorted(edges[0], n))
+    rows, cols = edges[0][:m], edges[1][:m]
+    if not (cols < n).all():
+        rows, cols = rows[cols < n], cols[cols < n]
+    # bincount counts in int64 when there are no pairs at all
+    return lambda v: np.bincount(rows, v[cols], n).astype(float, copy=False) / size
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # einsum, not BLAS: a two-thread ddot ran up to 50x slower at these sizes
+    return float(np.einsum("i,i", a, b))
+
+
+def _top_eigenpair(apply, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Largest eigenvalue of the symmetric operator apply, by single-vector
+    LOBPCG (Knyazev 2001) from x (updated in place): Rayleigh-Ritz on
+    span{x, r, p}, with r the residual of x and p the previous step.
+
+    Returns (x.Mx / x.x, x) for the best iterate x, with Mx a fresh product.
+    A step is kept only if it raises that quotient, so the 3x3 arithmetic
+    never enters the bound.
     """
-    best = -math.inf
-    prev = -math.inf
-    for _ in range(ITERATIONS):
-        mv = matrix @ v
-        ray = float(v @ mv)
-        if ray > best:
-            best = ray
-        if ray - prev < TOL:
+    p, mp, prev = np.zeros(x.size), np.zeros(x.size), np.empty(x.size)
+    mx, best, k = apply(x), -math.inf, 2  # span{x, r} until there is a step
+    for _ in range(MAX_STEPS):
+        xx, xmx = _dot(x, x), _dot(x, mx)
+        rho = xmx / xx
+        if rho - best < GAIN:
+            if rho < best:
+                np.copyto(x, prev)  # the step lost to rounding: undo it
             break
-        prev = ray
-        w = mv + v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
+        best = rho
+        r = np.multiply(x, -rho)
+        r += mx
+        mr = apply(r)
+        c = _ritz((x, r, p)[:k], (mx, mr, mp)[:k], xx, xmx)
+        if c is None and k == 3:  # p has fallen into span{x, r}: drop it
+            c, k = _ritz((x, r), (mx, mr), xx, xmx), 2
+        if c is None:
             break
-        v = w / nw
-    return best, v
+        np.copyto(prev, x)
+        for v, w, u in ((p, r, x), (mp, mr, mx)):  # p <- c1 r + c2 p, x <- c0 x + p
+            v *= c[2] if k == 3 else 0.0
+            w *= c[1]
+            v += w
+            u *= c[0]
+            u += v
+        k = 3
+    return _dot(x, apply(x)) / _dot(x, x), x
+
+
+def _ritz(basis, images, xx: float, xmx: float) -> Optional[np.ndarray]:
+    """Coefficients of the top Ritz vector in the span of basis (images
+    holds M of each vector; xx = x.x and xmx = x.Mx for the first), or None
+    when the Gram matrix has lost rank."""
+    k = len(basis)
+    gram, proj = np.full((k, k), xx), np.full((k, k), xmx)
+    for i in range(k):
+        for j in range(max(i, 1), k):
+            gram[i, j] = gram[j, i] = _dot(basis[i], basis[j])
+            proj[i, j] = proj[j, i] = _dot(basis[i], images[j])
+    if gram.diagonal().min() <= 0.0:
+        return None  # a zero vector, e.g. a vanishing residual
+    scale = 1.0 / np.sqrt(gram.diagonal())
+    vals, vecs = np.linalg.eigh(gram * np.outer(scale, scale))
+    if vals[0] < RANK_FLOOR:
+        return None
+    ortho = vecs / np.sqrt(vals)
+    ritz = np.linalg.eigh(ortho.T @ (proj * np.outer(scale, scale)) @ ortho)[1][:, -1]
+    return scale * (ortho @ ritz)
 
 
 @dataclass(frozen=True)
@@ -207,9 +282,11 @@ def kesten_profile(
     One ball is built at the largest radius; because breadth-first order
     lists nodes by distance, the ball at any smaller radius is a prefix, and
     the corresponding operator is exactly the leading principal submatrix.
-    Each radius warm-starts from the previous eigenvector estimate, and by
-    eigenvalue interlacing every earlier estimate stays a valid lower bound,
-    so the profile is nondecreasing by construction.
+    Each estimate is the Rayleigh quotient of an explicit vector, from a
+    LOBPCG solve on the in-ball generator images that starts from |x| of the
+    previous radius, padded with its minimum.  By eigenvalue interlacing
+    every earlier estimate stays a valid lower bound, so the profile is
+    nondecreasing by construction.
     """
     if not isinstance(gens, GenSet):
         gens = GenSet(gens)
@@ -223,23 +300,16 @@ def kesten_profile(
             raise ValueError(f"radii must be strictly increasing, got {a} then {b}")
 
     ball = orbit_ball(base, gens.elements, radii[-1], cap=cap)
-    matrix = markov_operator(ball).matrix
-
-    estimates = []
-    prev_est = 0.0
-    v: Optional[np.ndarray] = None
-    for r in radii:
-        nr = ball.prefix_size(r)
-        if v is None:
-            start = np.full(nr, 1.0 / math.sqrt(nr))
-        else:
-            start = np.zeros(nr)
-            start[: v.size] = v
-        est, v = _power_iterate(matrix[:nr, :nr], start)
+    edges, sizes = _edges(ball), [ball.prefix_size(r) for r in radii]
+    del ball  # the solver needs only the image pairs: free the node tables
+    estimates, x = [], np.ones(1)  # the base node alone
+    for n in sizes:
+        start = np.full(n, np.abs(x).min())
+        start[: x.size] = np.abs(x)
+        est, x = _top_eigenpair(_walk(edges, n, len(gens)), start)
         # A lower bound at radius r is a lower bound at every larger radius
         # (ball compressions interlace), so the running maximum is certified.
-        prev_est = max(est, prev_est)
-        estimates.append(prev_est)
+        estimates.append(max(est, 0.0, *estimates[-1:]))
     return SpectralProfile(radii, tuple(estimates), gens.describe())
 
 

@@ -330,7 +330,7 @@ def test_literal_lists_are_bounded_as_a_whole(capsys):
         assert time.perf_counter() - started < 1.0
 
 
-def test_only_kesten_loads_scipy():
+def test_no_subcommand_loads_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
     probe = (
         "import contextlib, io, json, sys\n"
@@ -346,7 +346,7 @@ def test_only_kesten_loads_scipy():
             ["reciprocity"], ["congruence", "2", "3"], ["kesten", "-k", "1", "--radii", "1"]]
     got = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert json.loads(got.stdout) == [False] * 5 + [True]
+    assert json.loads(got.stdout) == [False] * 6
 
 
 _exponents = st.one_of(

@@ -5,8 +5,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cosetlab import spectral
 from cosetlab.cosets import Coset, orbit_ball
 from cosetlab.errors import ResourceLimitError
 from cosetlab.freegroup import GElement, IDENTITY, parse_gelement, parse_word, reduce
@@ -141,6 +142,43 @@ def test_kesten_profile_matches_direct_balls():
     profile = kesten_profile(Coset(0, IDENTITY), free_generator_set(2), (2, 4))
     single = kesten_profile(Coset(0, IDENTITY), free_generator_set(2), (4,))
     assert abs(profile.estimates[-1] - single.estimates[-1]) < 1e-6
+
+
+@st.composite
+def kesten_inputs(draw):
+    level = draw(st.integers(-2, 2))
+    letters = st.tuples(st.integers(level - 2, level + 2), st.sampled_from((1, -1)))
+    # letters from 2 below to 2 above the base level straddle it, and a
+    # letter of index >= level fixes the base coset (a self-loop)
+    gens = [GElement(draw(st.integers(-2, 2)), reduce(draw(st.lists(letters, max_size=2))))
+            for _ in range(draw(st.integers(1, 2)))]
+    radii = sorted(set(draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))))
+    return Coset(level, IDENTITY), GenSet.symmetrized(gens), tuple(radii)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kesten_inputs())
+@example((Coset(0, IDENTITY), free_generator_set(1), (0, 1, 2, 7, 12)))  # bipartite paths
+@example((Coset(0, IDENTITY), GenSet.symmetrized([parse_gelement("t"), parse_gelement("x0")]),
+          (0, 1, 2, 3, 4)))
+def test_kesten_profile_matches_dense_eigenvalues(inputs):
+    base, gens, radii = inputs
+    profile = kesten_profile(base, gens, radii)
+    for r, est in profile.rows():
+        ball = orbit_ball(base, gens.elements, r)
+        truth = float(np.linalg.eigvalsh(markov_operator(ball).matrix.toarray())[-1])
+        assert truth - 1e-10 <= est <= truth + 1e-12
+
+
+def test_kesten_profile_rejects_an_asymmetric_ball(monkeypatch):
+    def corrupted(*args, **kwargs):
+        ball = orbit_ball(*args, **kwargs)
+        ball.gen_images[0, [1, 2]] = ball.gen_images[0, [2, 1]]
+        return ball
+
+    monkeypatch.setattr(spectral, "orbit_ball", corrupted)
+    with pytest.raises(ValueError, match="not symmetric"):
+        kesten_profile(Coset(0, IDENTITY), free_generator_set(2), (1, 2))
 
 
 def test_spectral_profile_validation():
