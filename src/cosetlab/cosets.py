@@ -16,19 +16,19 @@ so prepending one letter is either a cancellation (the rest) or one lookup
 in the intern table.  Free reduction is confluent, so prepending the kept
 letters of w right to left gives exactly the canonical form of act().
 
-Balls are built one breadth-first layer at a time with numpy.  The images
-of a layer's nodes are computed for all generators at once, in slices of a
-fixed number of (parent, generator) pairs; unseen images become new nodes,
-numbered by first occurrence in (parent, generator) order, which is the
-order of a node-by-node breadth-first search.
+Balls are built one breadth-first layer at a time with numpy, imported
+lazily: Coset and act never run it.  The images of a layer's nodes are
+computed for all generators at once, in slices of a fixed number of
+(parent, generator) pairs; unseen images become new nodes, numbered by
+first occurrence in (parent, generator) order, which is the order of a
+node-by-node breadth-first search.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import ResourceLimitError
 from .freegroup import (
     GElement,
@@ -39,6 +39,8 @@ from .freegroup import (
     g_mul,
     retract,
 )
+
+np = lazy_import("numpy")
 
 
 class Coset:
@@ -372,7 +374,7 @@ def orbit_ball(
     while True:
         d = len(layers) - 1
         lvl, tid_arr = layers[d]
-        grow = d < radius
+        grow, found = d < radius, count
         new_lvl, new_tid = [], []
         for a in range(0, len(lvl), step):
             img, nl, nt = _expand(tails, nodes, shifts, letters, lvl[a:a + step],
@@ -381,8 +383,8 @@ def orbit_ball(
             count += len(nl)
             if count > cap:
                 raise ResourceLimitError(
-                    f"orbit ball exceeded node cap {cap} at radius {d + 1}"
-                )
+                    f"orbit ball exceeded node cap {cap}: {found} nodes found within "
+                    f"radius {d}, and radius {d + 1} adds at least {count - found} more")
             new_lvl.append(nl)
             new_tid.append(nt)
         new_lvl = np.concatenate(new_lvl)

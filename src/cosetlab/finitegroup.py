@@ -7,6 +7,7 @@ Subgroups carry left-coset transversals of their parent.  Congruence
 quotients of the integer special linear group are generated by the
 elementary transvections, and point-separation witnesses find the smallest
 modulus at which a non-identity integer matrix stays non-identity.
+Elements are numpy arrays; numpy is imported lazily, on first use.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import re
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import ResourceLimitError
+
+np = lazy_import("numpy")
 
 Perm = Tuple[int, ...]
 

@@ -12,6 +12,7 @@ is exactly the retraction's kernel.
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from typing import Iterable, Tuple
 
 from .errors import ResourceLimitError
@@ -237,10 +238,12 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(u: Word) -> str:
-    """Literal form of a word, parseable by parse_word."""
+    """Literal form of a word, parseable by parse_word; a run of k > 1 equal
+    letters x_i^e is written x_i^(e k), no longer than any literal of it."""
     if not u.letters:
         return "e"
-    return " ".join(f"x{i}" if e == 1 else f"x{i}^-1" for (i, e) in u.letters)
+    runs = ((i, e * len(list(run))) for (i, e), run in groupby(u.letters))
+    return " ".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in runs)
 
 
 def _split_gelement(text: str) -> Tuple[int, str]:

@@ -5,7 +5,8 @@ spectral-radius lower bounds by a matrix-free LOBPCG on a ball's generator
 images, exact invariance checks for single basis vectors, and
 almost-invariant (Reiter) vectors: uniform on a window of cosets along the
 shift direction, with their deviations in closed form as exact rationals
-2m/N.  Only markov_operator, the sparse-matrix referee, loads scipy.
+2m/N.  numpy, imported lazily, runs only for the solve and the operator;
+scipy is loaded only by markov_operator, the sparse-matrix referee.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .cosets import Coset, OrbitBall, act, orbit_ball
 from .errors import ResourceLimitError
 from .freegroup import (
@@ -26,9 +26,12 @@ from .freegroup import (
     Word,
     format_gelement,
     g_inv,
+    gamma_member,
     minimal_level,
     parse_word,
 )
+
+np = lazy_import("numpy")
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -323,8 +326,8 @@ def delta_invariance_check(
     level defaults to the largest minimal_level over the non-identity words
     of S (identity words put no constraint on the level; 0 is used if every
     word is the identity).  Each deviation ||(0,s) . delta - delta|| is 0.0
-    when the coset is fixed (decided by exact integer comparison) and
-    sqrt(2) when it moves to a different basis vector.
+    when the coset is fixed, that is when s is a gamma_member at the level
+    (exactly), and sqrt(2) when it moves to a different basis vector.
     """
     words = tuple(S)
     if not words:
@@ -334,12 +337,8 @@ def delta_invariance_check(
             raise TypeError(f"expected Word, got {type(w).__name__}")
     if level is None:
         level = max((minimal_level(w) for w in words if w.letters), default=0)
-    base = Coset(int(level), IDENTITY)
-    deviations: Dict[Word, float] = {}
-    for w in words:
-        moved = act(GElement(0, w), base)
-        deviations[w] = 0.0 if moved == base else math.sqrt(2.0)
-    return int(level), deviations
+    level = int(level)  # (0, w) sends Coset(level, e) to Coset(level, retract(w, level))
+    return level, {w: 0.0 if gamma_member(w, level) else math.sqrt(2.0) for w in words}
 
 
 class ReiterCertificate:

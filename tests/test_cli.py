@@ -11,10 +11,13 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosetlab import suite
+from cosetlab._lazy import lazy_import
 from cosetlab.cli import main
+from cosetlab.finitegroup import special_linear_order
 from cosetlab.freegroup import MAX_WORD_LETTERS
 
 
@@ -45,6 +48,15 @@ def test_eymard_verify_conjugate(capsys):
     assert report["level"] == 3
     assert set(report["deviations"]) == {"x5 x3 x5^-1", "x1"}
     assert all(v == 0.0 for v in report["deviations"].values())
+
+
+def test_eymard_verify_echoes_a_run_length_literal_at_its_length(capsys):
+    n = MAX_WORD_LETTERS // 2
+    literal = f"x1^{n}, x2^-3 x2 x3"
+    code, report, _ = run_json(capsys, "eymard-verify", literal, "--no-meta")
+    assert code == 0
+    assert list(report["deviations"]) == [f"x1^{n}", "x2^-2 x3"]
+    assert all(len(w) <= len(p) for w, p in zip(report["deviations"], literal.split(",")))
 
 
 def test_eymard_verify_empty_is_usage_error(capsys):
@@ -330,23 +342,47 @@ def test_literal_lists_are_bounded_as_a_whole(capsys):
         assert time.perf_counter() - started < 1.0
 
 
-def test_no_subcommand_loads_scipy():
+_NUMPY_FREE_RUNS = [["--version"], ["reiter", "t", "--epsilon", "0.5"], ["eymard-verify", "x1"],
+                    ["kesten", "-k", "two"], ["kesten", "--radii", "0"]]  # usage errors
+_NUMPY_RUNS = [["reciprocity"], ["congruence", "2", "3"],
+               ["kesten", "-k", "1", "--radii", "1"]]
+
+
+@pytest.fixture(scope="module")
+def modules_loaded():
+    """Per run, in a fresh process: whether scipy was imported, and whether
+    numpy ran (a lazily imported numpy sits in sys.modules unexecuted, so
+    look for its submodules)."""
     env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
     probe = (
         "import contextlib, io, json, sys\n"
         "from cosetlab.cli import main\n"
-        "loaded = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        main(argv)\n"
-        "    loaded.append('scipy' in sys.modules)\n"
-        "print(json.dumps(loaded))\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps(['scipy' in sys.modules, "
+        "any(m.startswith('numpy.') for m in sys.modules)]))\n"
     )
-    runs = [["--version"], ["reiter", "t", "--epsilon", "0.5"], ["eymard-verify", "x1"],
-            ["reciprocity"], ["congruence", "2", "3"], ["kesten", "-k", "1", "--radii", "1"]]
-    got = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert json.loads(got.stdout) == [False] * 6
+    loaded = []
+    for argv in _NUMPY_FREE_RUNS + _NUMPY_RUNS:
+        got = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        loaded.append(tuple(json.loads(got.stdout)))
+    return loaded
+
+
+def test_lazy_import_of_a_missing_module_fails_at_once():
+    with pytest.raises(ModuleNotFoundError):
+        lazy_import("cosetlab_no_such_module")
+
+
+def test_no_subcommand_loads_scipy(modules_loaded):
+    assert not any(scipy for scipy, _ in modules_loaded)
+
+
+def test_only_subcommands_that_build_arrays_run_numpy(modules_loaded):
+    numpy = [ran for _, ran in modules_loaded]
+    assert numpy == [False] * len(_NUMPY_FREE_RUNS) + [True] * len(_NUMPY_RUNS)
 
 
 _exponents = st.one_of(
@@ -389,3 +425,44 @@ def test_reiter_fuzz_exits_in_bounds(literals, shifts):
     text = ", ".join([*map(_word_text, literals), *(f"t^{k}" for k in shifts)])
     code = _run_quiet(["reiter", text, "--epsilon", "0.5", "--no-meta"])
     _check_exit(code, literals)
+
+
+@st.composite
+def _radii(draw):
+    """A radii literal of strictly increasing "lo" and "lo..hi" chunks,
+    small enough to solve at once, sometimes closed by a radius past every
+    --cap drawn below; and its largest radius."""
+    parts, top = [], 0
+    for width in draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3)):
+        lo = top + draw(st.integers(1, 3))
+        top = lo + max(width, 0)
+        parts.append(str(lo) if width < 0 else f"{lo}..{top}")
+    if draw(st.integers(0, 3)) == 0:
+        top = draw(st.integers(10**6, 10**12))
+        parts.append(str(top))
+    return ",".join(parts), top
+
+
+@settings(max_examples=100, deadline=2000)
+@given(_radii(), st.integers(1, 4) | st.integers(-1, 50),
+       st.integers(1, 10**4) | st.integers(-1, 10**4),
+       st.none() | st.text("0123456789.,-kx ", max_size=8))
+def test_kesten_fuzz_exits_in_bounds(radii, k, cap, garbage):
+    text, top = radii
+    code = _run_quiet(["kesten", f"-k={k}", f"--radii={garbage or text}", f"--cap={cap}",
+                       "--no-meta"])
+    assert code in (0, 1, 2, 3)
+    if garbage is None and cap >= 1 and 2 * max(top, k) + 1 > cap:
+        assert code == 3
+
+
+@settings(max_examples=60, deadline=2000)
+@given(st.integers(2, 3) | st.integers(-1, 5), st.integers(2, 12) | st.integers(-1, 40),
+       st.integers(1, 10**4))
+def test_congruence_fuzz_exits_in_bounds(n, m, cap):
+    code = _run_quiet(["congruence", f"{n}", f"{m}", f"--cap={cap}", "--no-meta"])
+    assert code in (0, 1, 2, 3)
+    if n >= 2 and m >= 2:
+        assert code == (3 if special_linear_order(n, m) > cap else 0)
+    else:
+        assert code == 2

@@ -208,6 +208,20 @@ def test_parse_word_round_trip():
         assert parse_word(format_word(w)) == w
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-40, 40)), min_size=1, max_size=6))
+def test_format_word_writes_runs_no_longer_than_the_literal(tokens):
+    literal = " ".join(f"x{i}^{k}" for i, k in tokens)
+    w = parse_word(literal)
+    assert parse_word(format_word(w)) == w
+    assert len(format_word(w)) <= len(literal)
+
+
+def test_format_word_forms():
+    assert format_word(parse_word("x1 x1 x2^-1 x2^-1 x2^-1 x1^-1 x3")) == "x1^2 x2^-3 x1^-1 x3"
+    assert format_word(parse_word("x5 x3 x5^-1")) == "x5 x3 x5^-1"
+
+
 def test_parse_word_forms():
     assert parse_word("e") == IDENTITY
     assert parse_word("x3") == Word(((3, 1),))
