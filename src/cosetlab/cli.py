@@ -18,6 +18,7 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -340,5 +341,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
 
 
+# OpenBLAS reads these when numpy first loads (lazily, after this module).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def console_main() -> None:
+    """Process entry point.  cosetlab makes no threaded BLAS call, so the
+    process starts one BLAS thread unless the user chose a count."""
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     raise SystemExit(main())

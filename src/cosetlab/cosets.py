@@ -106,6 +106,9 @@ _CLAMP = 1 << 40
 # (parent, generator) pairs per slice of a BFS layer: bounds the memory of
 # a layer's images, and the node cap is checked after every slice.
 SLICE_PAIRS = 1 << 16
+# Generator images (generators x nodes, int32) a ball may store, checked
+# before each layer; four generators reach the default node cap first.
+IMAGE_LIMIT = 1 << 23
 
 
 def _clamp(n: int) -> int:
@@ -326,9 +329,10 @@ def orbit_ball(
 ) -> OrbitBall:
     """Deterministic breadth-first ball of the orbit of base under gens.
 
-    Raises ResourceLimitError if the node count would exceed cap, and
-    ValueError if a relative letter index, level offset or tail id would
-    overflow its packed code (INDEX_LIMIT, LEVEL_LIMIT, TAIL_LIMIT).
+    Raises ResourceLimitError if the node count would exceed cap or the
+    image count IMAGE_LIMIT, and ValueError if a relative letter index,
+    level offset or tail id would overflow its packed code (INDEX_LIMIT,
+    LEVEL_LIMIT, TAIL_LIMIT).
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -373,6 +377,10 @@ def orbit_ball(
     step = max(1, SLICE_PAIRS // len(gens))
     while True:
         d = len(layers) - 1
+        if len(gens) * count > IMAGE_LIMIT:
+            raise ResourceLimitError(
+                f"orbit ball exceeded image limit {IMAGE_LIMIT}: {len(gens)} generators "
+                f"on the {count} nodes within radius {d} need {len(gens) * count} images")
         lvl, tid_arr = layers[d]
         grow, found = d < radius, count
         new_lvl, new_tid = [], []

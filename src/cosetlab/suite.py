@@ -136,16 +136,21 @@ def run_suite(path=None) -> SuiteResult:
             problems.append(f"line {ln}: entry must be an object with a 'kind'")
             continue
         kind = obj["kind"]
-        if kind not in _REQUIRED:
+        if not isinstance(kind, str) or kind not in _REQUIRED:
             problems.append(f"line {ln}: unknown kind {kind!r}")
             continue
         missing = [k for k in _REQUIRED[kind] if k not in obj]
         if missing:
             problems.append(f"line {ln}: missing fields {missing}")
             continue
-        unknown = [obj[k] for k in _REQUIRED[kind] if obj[k] not in reg]
+        unknown = [v for v in map(obj.get, _REQUIRED[kind])
+                   if not isinstance(v, str) or v not in reg]
         if unknown:
             problems.append(f"line {ln}: unknown group name(s) {unknown}")
+            continue
+        tables = obj.get("tables", {})
+        if not isinstance(tables, dict) or not all(isinstance(v, str) for v in tables.values()):
+            problems.append(f"line {ln}: 'tables' must map names to file paths")
             continue
         parsed.append((ln, obj))
     if problems:
@@ -207,7 +212,7 @@ def _run_entry(ln: int, obj: dict, reg, base_dir: Path) -> EntryResult:
         spec = obj.get("character", "trivial")
         if spec == "trivial":
             chi = Character.trivial(F)
-        elif isinstance(spec, int):
+        elif type(spec) is int:
             chi = irreducibles(obj["subgroup"])[spec]
         else:
             raise ValueError(f"bad character spec {spec!r}")

@@ -1,12 +1,14 @@
 """Command-line front end: reports, exit codes, determinism."""
 
 import io
+import itertools
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import suite
+from cosetlab import cli, suite
 from cosetlab._lazy import lazy_import
 from cosetlab.cli import main
 from cosetlab.finitegroup import special_linear_order
@@ -131,6 +133,17 @@ def test_kesten_generator_count_beyond_cap_rejected_before_building(capsys):
     assert code == 3
     assert "at least 7" in err and "--cap 6" in err
     assert run(capsys, "kesten", "-k", "3", "--radii", "1", "--cap", "7", "--no-meta")[0] == 0
+
+
+def test_kesten_generator_images_bounded_before_they_are_built(capsys):
+    # 16,000 generators on the 16,001 nodes of the radius-1 ball would store
+    # 256M images; before the bound the run took 63 s and 7.6 GB
+    started = time.perf_counter()
+    code, out, err = run(capsys, "kesten", "-k", "8000", "--radii", "1")
+    assert code == 3
+    assert out == ""
+    assert "image limit" in err and "need 256016000 images" in err
+    assert time.perf_counter() - started < 2.0
 
 
 def test_kesten_csv(capsys, tmp_path):
@@ -385,6 +398,66 @@ def test_only_subcommands_that_build_arrays_run_numpy(modules_loaded):
     assert numpy == [False] * len(_NUMPY_FREE_RUNS) + [True] * len(_NUMPY_RUNS)
 
 
+@pytest.mark.parametrize("preset", list(itertools.product((None, "3"), repeat=3)))
+def test_console_main_starts_one_blas_thread_unless_the_user_chose(monkeypatch, preset):
+    for var, value in zip(cli.BLAS_THREAD_VARS, preset):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    with pytest.raises(SystemExit):
+        cli.console_main()
+    expected = dict(zip(cli.BLAS_THREAD_VARS, preset))
+    if preset == (None, None, None):
+        expected["OPENBLAS_NUM_THREADS"] = "1"
+    assert {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS} == expected
+
+
+def _blas_probe(**preset):
+    """Threads alive at exit of `python -m cosetlab congruence 2 3`, and the
+    OPENBLAS_NUM_THREADS it ran with, given only `preset` of the BLAS
+    thread variables."""
+    probe = (
+        "import atexit, os, runpy, sys\n"
+        "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), "
+        "os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr))\n"
+        "sys.argv = ['cosetlab', 'congruence', '2', '3', '--no-meta']\n"
+        "runpy.run_module('cosetlab', run_name='__main__', alter_sys=True)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(suite.__file__).parents[1]))
+    got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert got.returncode == 0 and json.loads(got.stdout)["order_bfs"] == 24
+    threads, value = got.stderr.split()
+    return int(threads), value
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_process_runs_one_thread_unless_the_user_chose():
+    assert _blas_probe() == (1, "1")
+    threads, value = _blas_probe(OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+    assert threads == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_library_use_leaves_the_environment_alone():
+    probe = (
+        "import io, os, contextlib\n"
+        "before = dict(os.environ)\n"
+        "import cosetlab\n"
+        "from cosetlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['congruence', '2', '3', '--no-meta'])\n"
+        "print(before == dict(os.environ))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
+    got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert got.stdout.split() == ["True"]
+
+
 _exponents = st.one_of(
     st.integers(-50, 50),
     st.integers(MAX_WORD_LETTERS + 1, 10**12).flatmap(lambda k: st.sampled_from((k, -k))),
@@ -466,3 +539,77 @@ def test_congruence_fuzz_exits_in_bounds(n, m, cap):
         assert code == (3 if special_linear_order(n, m) > cap else 0)
     else:
         assert code == 2
+
+
+def _elementary_product(n, steps):
+    """The product of the elementary matrices I + c E_ij (i != j) in steps:
+    an integer matrix of determinant 1."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in steps:
+        i, j = i % n, j % n
+        if i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+@settings(max_examples=100, deadline=2000)
+@given(st.integers(2, 4), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                             st.integers(-10**6, 10**6)), max_size=6))
+def test_congruence_witness_fuzz_finds_the_smallest_separating_modulus(n, steps):
+    a = _elementary_product(n, steps)
+    literal = ";".join(",".join(map(str, row)) for row in a)
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        code = main(["congruence", f"--witness={literal}", "--no-meta"])
+    dev = [x - (i == j) for i, row in enumerate(a) for j, x in enumerate(row)]
+    if not any(dev):
+        assert code == 2
+        return
+    assert code == 0
+    m = json.loads(out.getvalue())["witness"]["modulus"]
+    assert any(x % m for x in dev) and not any(x % k for k in range(2, m) for x in dev)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(st.text("0123456789-+,; e", max_size=40) | st.text(max_size=20),
+       st.none() | st.tuples(st.integers(-1, 3), st.integers(-1, 12)))
+def test_congruence_witness_literal_fuzz_exits_in_bounds(literal, order):
+    argv = ["congruence", f"--witness={literal}", "--cap=1000", "--no-meta"]
+    if order is not None:
+        argv[1:1] = map(str, order)
+    assert _run_quiet(argv) in (0, 1, 2, 3)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_names = st.sampled_from(sorted(suite.registry()))
+_entries = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["frobenius", "stages", "invariants"]) | _json},
+    optional={"group": _names | _json, "mid": _names | _json, "subgroup": _names | _json,
+              "tables": _json},
+)
+_runnable = st.fixed_dictionaries(  # well formed, but any group, table or character
+    {"kind": st.sampled_from(["frobenius", "stages", "invariants"]),
+     "group": _names, "mid": _names, "subgroup": _names},
+    optional={"character": st.sampled_from(["trivial", 0, 1, 7, -1, True, 1.5]) | _json,
+              "tables": st.fixed_dictionaries({}, optional={"group": st.text(max_size=8),
+                                                            "subgroup": st.text(max_size=8)})},
+)
+_suite_lines = st.lists(
+    st.builds(json.dumps, _runnable) | st.builds(json.dumps, _entries)
+    | st.builds(json.dumps, _json) | st.text(max_size=30)
+    | st.sampled_from(["", "# comment", "{", "[1, 2]"]),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(_suite_lines)
+def test_reciprocity_malformed_suite_fuzz_exits_in_bounds(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "suite.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+        assert _run_quiet(["reciprocity", str(path), "--no-meta"]) in (0, 1, 2, 3)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cosetlab
 
+from cosetlab import cosets
 from cosetlab.cosets import (
     Coset,
     OrbitBall,
@@ -163,6 +164,17 @@ def test_orbit_ball_cap():
     with pytest.raises(ResourceLimitError) as exc:
         orbit_ball(Coset(0, IDENTITY), gens_x12(), 10, cap=50)
     assert "radius" in str(exc.value)
+
+
+def test_orbit_ball_image_limit_is_checked_before_each_layer(monkeypatch):
+    # the radius-2 ball of x1, x2 and inverses has 1 + 4 + 12 = 17 nodes,
+    # so its 4 generators store 68 images
+    monkeypatch.setattr(cosets, "IMAGE_LIMIT", 68)
+    assert len(orbit_ball(Coset(0, IDENTITY), gens_x12(), 2)) == 17
+    monkeypatch.setattr(cosets, "IMAGE_LIMIT", 67)
+    with pytest.raises(ResourceLimitError) as exc:
+        orbit_ball(Coset(0, IDENTITY), gens_x12(), 2)
+    assert "image limit 67" in str(exc.value) and "need 68 images" in str(exc.value)
 
 
 def test_h_orbit_partition_levels():

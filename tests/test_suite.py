@@ -64,16 +64,24 @@ def test_malformed_suite_collects_all_problems(tmp_path):
         '{"kind": "frobenius", "group": "s3"}\n'
         '{"kind": "frobenius", "group": "s3", "subgroup": "nope"}\n'
         '["list", "entry"]\n'
+        '{"kind": ["frobenius"]}\n'
+        '{"kind": "frobenius", "group": ["s3"], "subgroup": "c3_in_s3"}\n'
+        '{"kind": "frobenius", "group": "s3", "subgroup": "c3_in_s3", "tables": ["x"]}\n'
+        '{"kind": "frobenius", "group": "s3", "subgroup": "c3_in_s3", "tables": {"group": 1}}\n'
     )
     with pytest.raises(SuiteFormatError) as exc:
         run_suite(p)
     problems = exc.value.problems
-    assert len(problems) == 5
+    assert len(problems) == 9
     assert any("line 1" in q for q in problems)
     assert any("line 2" in q and "mystery" in q for q in problems)
     assert any("line 3" in q and "subgroup" in q for q in problems)
     assert any("line 4" in q and "nope" in q for q in problems)
     assert any("line 5" in q for q in problems)
+    assert any("line 6" in q and "kind" in q for q in problems)
+    assert any("line 7" in q and "group name" in q for q in problems)
+    assert any("line 8" in q and "tables" in q for q in problems)
+    assert any("line 9" in q and "tables" in q for q in problems)
 
 
 def test_wrong_pairing_is_a_failed_entry(tmp_path):
@@ -112,3 +120,15 @@ def test_stages_with_integer_character_spec(tmp_path):
     )
     result = run_suite(p)
     assert result.passed
+
+
+def test_stages_rejects_a_boolean_character_spec(tmp_path):
+    # JSON true is not the character index 1
+    p = tmp_path / "stages.jsonl"
+    p.write_text(
+        '{"kind": "stages", "group": "sl2z3", "mid": "borel_sl2z3", '
+        '"subgroup": "borel_sl2z3", "character": true}\n'
+    )
+    result = run_suite(p)
+    assert not result.passed
+    assert "bad character spec" in result.entries[0].details["error"]
