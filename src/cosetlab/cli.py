@@ -148,14 +148,16 @@ def _cmd_kesten(args) -> int:
 def _cmd_reiter(args) -> int:
     gens = GenSet.symmetrized(parse_literals(args.generators, "generator", parse_gelement))
     cert = reiter_search(gens, args.epsilon, max_window=args.window)
+    N = cert.window_size
     ok = cert.max_deviation <= args.epsilon
     report = {
         "subcommand": "reiter",
         "epsilon": args.epsilon,
         "generators": gens.describe(),
         "window_start": cert.window_start,
-        "window_size": cert.window_size,
-        "amplitude": 1.0 / math.sqrt(cert.window_size),
+        "window_size": N,
+        # float(N) overflows past 2^1024, which a huge --window admits
+        "amplitude": 1.0 / math.sqrt(N) if N < 2**1000 else math.exp(-math.log(N) / 2),
         "deviations": {format_gelement(g): d for g, d in cert.deviations.items()},
         "deviation_squared": {
             format_gelement(g): str(q) for g, q in cert.deviation_squared.items()

@@ -237,10 +237,6 @@ class OrbitBall:
     def __len__(self) -> int:
         return len(self._level)
 
-    @property
-    def node_count(self) -> int:
-        return len(self._level)
-
     def node(self, i: int) -> Coset:
         level = self.base.level + int(self._level[i])
         letters = []

@@ -83,13 +83,22 @@ def _perm_from_cycles(cycles: List[Tuple[int, ...]], degree: int) -> Perm:
     first (function composition)."""
     img = list(range(degree))
     for cycle in reversed(cycles):
-        prev = list(img)
-        move = {}
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            move[a] = b
-        for i in range(degree):
-            img[i] = move.get(prev[i], prev[i])
+        move = dict(zip(cycle, cycle[1:] + cycle[:1]))
+        img = [move.get(p, p) for p in img]
     return tuple(img)
+
+
+def _value(g, degree: int, modulus: Optional[int]):
+    """The canonical value of an element literal: a permutation tuple on
+    `degree` points (from 1-based cycle notation, or 0-based images padded
+    with fixed points) when modulus is None, else a matrix as row tuples
+    with entries reduced mod modulus."""
+    if modulus is not None:
+        return tuple(tuple(int(x) % modulus for x in row) for row in g)
+    if isinstance(g, str):
+        return _perm_from_cycles(_parse_cycle_string(g), degree)
+    p = tuple(int(x) for x in g)
+    return p + tuple(range(len(p), degree))
 
 
 def _batch_op(kind: str, modulus: Optional[int]):
@@ -194,8 +203,7 @@ class FiniteGroup:
     on first use.
     """
 
-    def __init__(self, rows, row_index, inv, kind, degree, modulus, generators,
-                 check=True):
+    def __init__(self, rows, row_index, inv, kind, degree, modulus, generators):
         self._rows = rows
         self._row_index = row_index
         self._op = _batch_op(kind, modulus)
@@ -206,16 +214,11 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[List[int]] = None
-        if check:
-            self._verify_axioms()
+        self._verify_axioms()
 
     # -- basic structure ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def order(self) -> int:
         return len(self._rows)
 
     @cached_property
@@ -302,20 +305,8 @@ class FiniteGroup:
 
     # -- subgroups ----------------------------------------------------------
 
-    def _normalize_element(self, g):
-        if self.kind == "perm":
-            if isinstance(g, str):
-                return _perm_from_cycles(_parse_cycle_string(g), self.degree)
-            p = tuple(int(x) for x in g)
-            if len(p) < self.degree:
-                p = p + tuple(range(len(p), self.degree))
-            return p
-        m = self.modulus
-        return tuple(tuple(int(x) % m for x in row) for row in g)
-
     def subgroup(self, gens) -> "Subgroup":
-        values = [self._normalize_element(g) for g in gens]
-        return Subgroup(self, values)
+        return Subgroup(self, [_value(g, self.degree, self.modulus) for g in gens])
 
     def subgroup_from_values(self, values) -> "Subgroup":
         return Subgroup(self, list(values))
@@ -376,13 +367,15 @@ class Subgroup(FiniteGroup):
 
 
 def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = None,
-                   cap: int = 10**6, check: bool = True) -> FiniteGroup:
+                   cap: int = 10**6) -> FiniteGroup:
     """Breadth-first enumeration of the group generated by permutations
     (tuples of 0-based images, or 1-based cycle-notation strings) or by
     square integer matrices taken modulo `modulus`.
 
     Raises ResourceLimitError if the order would exceed cap.
     """
+    if cap < 1:
+        raise ValueError(f"element cap must be positive, got {cap}")
     gens = list(gens)
     if modulus is not None:
         m = int(modulus)
@@ -396,53 +389,33 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
             n = len(gens[0])
         if n < 1:
             raise ValueError(f"matrix size must be >= 1, got {n}")
-        mats = []
-        for g in gens:
-            rows = tuple(tuple(int(x) % m for x in row) for row in g)
+        mats = [_value(g, n, m) for g in gens]
+        for rows in mats:
             if len(rows) != n or any(len(row) != n for row in rows):
                 raise ValueError("matrix generators must be square and same size")
             if math.gcd(_int_det(rows) % m, m) != 1:
                 raise ValueError(f"generator {rows!r} is not invertible mod {m}")
-            mats.append(rows)
         # holds every unreduced sum of products; object (Python ints) past 64 bits
         dtype = np.min_scalar_type(n * (m - 1) ** 2)
         rows, row_index, inv = _bfs_closure(
             np.array(mats, dtype=dtype).reshape(-1, n, n),
             np.eye(n, dtype=dtype)[None], _batch_op("matrix", m), cap,
         )
-        return FiniteGroup(rows, row_index, inv, "matrix", n, m, mats, check)
+        return FiniteGroup(rows, row_index, inv, "matrix", n, m, mats)
 
-    cycle_lists = []
-    max_point = 0
-    perms_in = []
-    for g in gens:
-        if isinstance(g, str):
-            cycles = _parse_cycle_string(g)
-            cycle_lists.append(cycles)
-            perms_in.append(None)
-            for c in cycles:
-                max_point = max(max_point, max(c) + 1 if c else 0)
-        else:
-            p = tuple(int(x) for x in g)
-            perms_in.append(p)
-            cycle_lists.append(None)
-            max_point = max(max_point, len(p))
-    deg = max(max_point, degree or 0, 1)
-    perms = []
-    for p, cycles in zip(perms_in, cycle_lists):
-        if p is None:
-            perms.append(_perm_from_cycles(cycles, deg))
-        else:
-            q = p + tuple(range(len(p), deg))
-            if sorted(q) != list(range(deg)):
-                raise ValueError(f"{p!r} is not a permutation")
-            perms.append(q)
+    points = (max(map(max, _parse_cycle_string(g)), default=-1) + 1 if isinstance(g, str)
+              else len(g) for g in gens)
+    deg = max(degree or 0, 1, *points)
+    perms = [_value(g, deg, None) for g in gens]
+    for p in perms:
+        if sorted(p) != list(range(deg)):
+            raise ValueError(f"{p!r} is not a permutation")
     dtype = np.min_scalar_type(deg - 1)
     rows, row_index, inv = _bfs_closure(
         np.array(perms, dtype=dtype).reshape(-1, deg),
         np.arange(deg, dtype=dtype)[None], _batch_op("perm", None), cap,
     )
-    return FiniteGroup(rows, row_index, inv, "perm", deg, None, perms, check)
+    return FiniteGroup(rows, row_index, inv, "perm", deg, None, perms)
 
 
 def congruence_group(n: int, m: int, cap: int = 10**6) -> FiniteGroup:

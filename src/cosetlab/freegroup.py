@@ -12,7 +12,7 @@ is exactly the retraction's kernel.
 from __future__ import annotations
 
 import re
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from typing import Iterable, Tuple
 
 from .errors import ResourceLimitError
@@ -33,10 +33,7 @@ class Word:
     __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Iterable[Tuple[int, int]] = ()):
-        letters = tuple((int(i), int(e)) for (i, e) in letters)
-        for (_, e) in letters:
-            if e not in (-1, 1):
-                raise ValueError(f"letter exponent must be +1 or -1, got {e}")
+        letters = _checked(letters)
         for a, b in zip(letters, letters[1:]):
             if a[0] == b[0] and a[1] == -b[1]:
                 raise ValueError(f"word is not reduced at x{a[0]}")
@@ -62,6 +59,15 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
+def _checked(letters: Iterable[Tuple[int, int]]) -> tuple:
+    """Letters as int pairs, each exponent checked to be +1 or -1."""
+    letters = tuple((int(i), int(e)) for (i, e) in letters)
+    for (_, e) in letters:
+        if e not in (-1, 1):
+            raise ValueError(f"letter exponent must be +1 or -1, got {e}")
+    return letters
+
+
 def _word(letters: list) -> Word:
     """A Word from int pairs already known to be reduced, unchecked: the
     results of the operations below are reduced by construction."""
@@ -74,29 +80,26 @@ def _word(letters: list) -> Word:
 IDENTITY = Word(())
 
 
-def reduce(raw: Iterable[Tuple[int, int]]) -> Word:
-    """Free-reduce a letter sequence; idempotent on already-reduced input."""
-    out: list[Tuple[int, int]] = []
-    for (i, e) in raw:
-        i, e = int(i), int(e)
-        if e not in (-1, 1):
-            raise ValueError(f"letter exponent must be +1 or -1, got {e}")
-        if out and out[-1][0] == i and out[-1][1] == -e:
+def _cancel(out: list, letters: Iterable[Tuple[int, int]]) -> Word:
+    """Push checked letters onto the reduced prefix out, each cancelling
+    against the last letter kept; letter tuples are kept by reference, so a
+    run of one letter costs a pointer per letter."""
+    for letter in letters:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
             out.pop()
         else:
-            out.append((i, e))
+            out.append(letter)
     return _word(out)
+
+
+def reduce(raw: Iterable[Tuple[int, int]]) -> Word:
+    """Free-reduce a letter sequence; idempotent on already-reduced input."""
+    return _cancel([], _checked(raw))
 
 
 def w_mul(u: Word, v: Word) -> Word:
     """Product of two reduced words, reduced."""
-    out = list(u.letters)
-    for (i, e) in v.letters:
-        if out and out[-1][0] == i and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((i, e))
-    return _word(out)
+    return _cancel(list(u.letters), v.letters)
 
 
 def w_inv(u: Word) -> Word:
@@ -155,15 +158,7 @@ def retract(u: Word, n: int) -> Word:
     This is the homomorphism F -> F killing x_i for i <= n; its kernel is
     the normal closure of those generators.
     """
-    out: list[Tuple[int, int]] = []
-    for (i, e) in u.letters:
-        if i <= n:
-            continue
-        if out and out[-1][0] == i and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((i, e))
-    return _word(out)
+    return _cancel([], [letter for letter in u.letters if letter[0] > n])
 
 
 def gamma_member(u: Word, n: int) -> bool:
@@ -225,16 +220,14 @@ def parse_word(text: str) -> Word:
     """Parse a word literal: whitespace-separated `x<index>` tokens with an
     optional `^<exponent>` suffix, or `e` alone for the identity.
 
-    Exponents beyond +-1 are expanded into letter runs; the result is reduced.
-    A literal of more than MAX_WORD_LETTERS letters raises ResourceLimitError
-    before anything is expanded.
+    Each token's run of |exponent| letters is reduced as it is read, never
+    expanded into a list.  A literal of more than MAX_WORD_LETTERS letters raises
+    ResourceLimitError before any letter is read.
     """
     parsed, size = _word_tokens(text)
     _check_letters(size, "word literal")
-    raw: list[Tuple[int, int]] = []
-    for idx, exp in parsed:
-        raw.extend([(idx, 1 if exp >= 0 else -1)] * abs(exp))
-    return reduce(raw)
+    runs = (repeat((idx, 1 if exp >= 0 else -1), abs(exp)) for idx, exp in parsed)
+    return _cancel([], chain.from_iterable(runs))
 
 
 def format_word(u: Word) -> str:

@@ -386,30 +386,30 @@ def reiter_search(S, epsilon: float, max_window: int = 1 << 20) -> ReiterCertifi
     n0 < n <= n0 + N, where n0 is the largest minimal level among the
     word parts of S.
 
-    N starts at the smallest value the bound sqrt(2K/N) admits, K the
-    largest shift, and doubles until 2 max m / N <= epsilon^2 in exact
-    rational arithmetic.
+    N = ceil(2K / epsilon^2) in exact rational arithmetic (1 if K = 0), K
+    the largest shift: the least window whose bound sqrt(2K/N) is at most
+    epsilon.  A window above max_window raises ResourceLimitError.
     """
     if not isinstance(S, GenSet):
         S = GenSet(S)
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 2.0):
         raise ValueError(f"epsilon must lie in (0, 2), got {epsilon}")
+    if max_window < 1:
+        raise ValueError(f"window cap must be positive, got {max_window}")
     n0 = max((minimal_level(g.word) for g in S if g.word.letters), default=0)
     K = max(abs(g.shift) for g in S)
-    N = max(1, math.ceil(2 * K / (epsilon * epsilon)))
-    while True:
-        if N > max_window:
-            raise ResourceLimitError(
-                f"window size {N} exceeds cap {max_window} at epsilon {epsilon}"
-            )
-        # g = (k, w) sends Coset(n, e) to Coset(n + k, retract(w, n + k)),
-        # injectively in n.  An image can be in the window only at a level
-        # above n0 >= minimal_level(w), where w retracts to e; so exactly the
-        # window cosets with n + k outside (n0, n0 + N] leave, m = min(|k|, N)
-        # of them.  xi and lambda(g) xi are uniform on N cosets each and
-        # differ on 2m, so ||lambda(g) xi - xi||^2 = 2m / N.
-        moved = {g: min(abs(g.shift), N) for g in S}
-        if Fraction(2 * max(moved.values()), N) <= Fraction(epsilon) ** 2:
-            return ReiterCertificate(moved, epsilon, n0, N)
-        N *= 2
+    N = max(1, math.ceil(Fraction(2 * K) / Fraction(epsilon) ** 2))
+    if N > max_window:
+        size = N if N < 10**30 else f"10^{math.log10(N):.1f}"  # str() refuses > 4,300 digits
+        raise ResourceLimitError(
+            f"window size {size} exceeds cap {max_window} at epsilon {epsilon}"
+        )
+    # g = (k, w) sends Coset(n, e) to Coset(n + k, retract(w, n + k)),
+    # injectively in n.  An image can be in the window only at a level
+    # above n0 >= minimal_level(w), where w retracts to e; so exactly the
+    # window cosets with n + k outside (n0, n0 + N] leave, m = min(|k|, N)
+    # of them.  xi and lambda(g) xi are uniform on N cosets each and
+    # differ on 2m, so ||lambda(g) xi - xi||^2 = 2m / N.  That is at most
+    # 2K / N <= epsilon^2 when N >= K, and 2 < epsilon^2 when N < K.
+    return ReiterCertificate({g: min(abs(g.shift), N) for g in S}, epsilon, n0, N)

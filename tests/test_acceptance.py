@@ -173,7 +173,7 @@ def test_criterion_4_level_block_structure():
     for radius in (1, 3, 5):
         parts = h_orbit_partition(range(6), gens, radius)
         for n in range(2, 6):
-            assert parts[n].node_count == 1
+            assert len(parts[n]) == 1
             assert parts[n].node(0) == Coset(n, IDENTITY)
     big = h_orbit_partition([0], gens, 8)[0]
     for r in range(9):
@@ -181,7 +181,7 @@ def test_criterion_4_level_block_structure():
     # every node stays at its level (also enforced internally)
     parts = h_orbit_partition(range(6), gens, 4)
     for n, ball in parts.items():
-        for i in range(ball.node_count):
+        for i in range(len(ball)):
             assert ball.node(i).level == n
 
 

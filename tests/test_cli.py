@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,19 @@ def test_reiter_window_cap(capsys):
     code, _, err = run(capsys, "reiter", "t", "--epsilon", "0.001",
                        "--window", "1000")
     assert code == 3
+    huge = "1" + "0" * 400
+    for literal in (f"t^{huge}", f"({huge}; x1)"):
+        code, _, err = run(capsys, "reiter", literal, "--epsilon", "1.9")
+        assert code == 3 and "window size 10^399.7 exceeds cap 1048576" in err
+    # a window too long for str() (over 4,300 digits) is named by its size
+    code, _, err = run(capsys, "reiter", f"t^{'9' * 3900}", "--epsilon", "1e-300")
+    assert code == 3 and "window size 10^4500.3" in err
+    code, report, _ = run_json(capsys, "reiter", f"t^{huge}", "--epsilon", "1.9",
+                               f"--window={huge}0", "--no-meta")
+    assert code == 0 and report["window_size"] == math.ceil(2 * 10**400 / Fraction(1.9) ** 2)
+    assert 0 < report["amplitude"] < 1e-199
+    assert run(capsys, "reiter", "t", "--epsilon", "0.5", "--window", "-5")[0] == 2
+    assert run(capsys, "congruence", "2", "3", "--cap", "0")[0] == 2
 
 
 def test_reciprocity_default_suite(capsys):
@@ -491,13 +505,30 @@ def test_eymard_verify_fuzz_exits_in_bounds(literals):
     _check_exit(code, literals)
 
 
-@settings(max_examples=100, deadline=2000)
-@given(st.lists(_word_literals, min_size=1, max_size=3),
-       st.lists(st.integers(-50, 50), max_size=2))
-def test_reiter_fuzz_exits_in_bounds(literals, shifts):
-    text = ", ".join([*map(_word_text, literals), *(f"t^{k}" for k in shifts)])
-    code = _run_quiet(["reiter", text, "--epsilon", "0.5", "--no-meta"])
-    _check_exit(code, literals)
+_shifts = st.integers(-50, 50) | st.integers(-10**400, 10**400)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(st.lists(_word_literals, max_size=3), st.lists(_shifts, max_size=2),
+       st.lists(st.tuples(_shifts, st.none() | _word_literals), max_size=2),
+       st.floats(1e-3, 1.999),
+       st.none() | st.integers(-3, 0) | st.integers(1, 10**7) | st.integers(1, 10**500))
+def test_reiter_fuzz_exits_in_bounds(literals, shifts, pairs, epsilon, window):
+    texts = [*map(_word_text, literals), *(f"t^{k}" for k in shifts),
+             *(f"({k}; {_word_text(w) if w else 'e'})" for k, w in pairs)]
+    argv = ["reiter", ", ".join(texts) or "e", f"--epsilon={epsilon!r}", "--no-meta"]
+    if window is not None:
+        argv.append(f"--window={window}")
+    code = _run_quiet(argv)
+    words = [*literals, *(w for _, w in pairs if w)]
+    K = max(map(abs, [*shifts, *(k for k, _ in pairs)]), default=0)
+    start = max(1, math.ceil(Fraction(2 * K) / Fraction(epsilon) ** 2))
+    if sum(abs(k) for tokens in words for _, k in tokens) > MAX_WORD_LETTERS:
+        assert code == 3
+    elif window is not None and window < 1:
+        assert code == 2
+    else:
+        assert code == (3 if start > (1 << 20 if window is None else window) else 0)
 
 
 @st.composite
@@ -531,11 +562,11 @@ def test_kesten_fuzz_exits_in_bounds(radii, k, cap, garbage):
 
 @settings(max_examples=60, deadline=2000)
 @given(st.integers(2, 3) | st.integers(-1, 5), st.integers(2, 12) | st.integers(-1, 40),
-       st.integers(1, 10**4))
+       st.integers(1, 10**4) | st.integers(-3, 0))
 def test_congruence_fuzz_exits_in_bounds(n, m, cap):
     code = _run_quiet(["congruence", f"{n}", f"{m}", f"--cap={cap}", "--no-meta"])
     assert code in (0, 1, 2, 3)
-    if n >= 2 and m >= 2:
+    if n >= 2 and m >= 2 and cap >= 1:
         assert code == (3 if special_linear_order(n, m) > cap else 0)
     else:
         assert code == 2

@@ -113,7 +113,7 @@ def test_orbit_ball_free_sizes():
     base = Coset(0, IDENTITY)
     for r in range(6):
         ball = orbit_ball(base, gens_x12(), r)
-        assert ball.node_count == 1 + 2 * (3**r - 1)
+        assert len(ball) == 1 + 2 * (3**r - 1)
 
 
 def test_orbit_ball_prefix_property():
@@ -121,8 +121,8 @@ def test_orbit_ball_prefix_property():
     big = orbit_ball(base, gens_x12(), 5)
     for r in range(6):
         small = orbit_ball(base, gens_x12(), r)
-        assert small.node_count == big.prefix_size(r)
-        for i in range(small.node_count):
+        assert len(small) == big.prefix_size(r)
+        for i in range(len(small)):
             assert small.node(i) == big.node(i)
             assert small.distance(i) == big.distance(i)
 
@@ -133,11 +133,11 @@ def test_orbit_ball_distances_and_images():
     ball = orbit_ball(base, gens, 4)
     assert ball.node(0) == base and ball.distance(0) == 0
     last = 0
-    for i in range(ball.node_count):
+    for i in range(len(ball)):
         d = ball.distance(i)
         assert d >= last  # breadth-first order
         last = d
-    for i in range(ball.node_count):
+    for i in range(len(ball)):
         for j, g in enumerate(gens):
             target = act(g, ball.node(i))
             k = ball.image(i, j)
@@ -181,10 +181,10 @@ def test_h_orbit_partition_levels():
     parts = h_orbit_partition(range(6), gens_x12(), 3)
     assert set(parts) == set(range(6))
     # level 0 is free of rank 2, level 1 free of rank 1, level >= 2 trivial
-    assert parts[0].node_count == 1 + 2 * (3**3 - 1)
-    assert parts[1].node_count == 2 * 3 + 1
+    assert len(parts[0]) == 1 + 2 * (3**3 - 1)
+    assert len(parts[1]) == 2 * 3 + 1
     for n in range(2, 6):
-        assert parts[n].node_count == 1
+        assert len(parts[n]) == 1
         assert parts[n].node(0) == Coset(n, IDENTITY)
 
 

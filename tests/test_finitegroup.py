@@ -45,9 +45,29 @@ def test_generate_from_cycle_strings():
     assert len(c6) == 6
 
 
+def test_cycle_strings_and_tuples_mix_in_groups_and_subgroups():
+    s4 = generate_group(["(1 2)", (1, 2, 3, 0)])
+    assert (len(s4), s4.degree) == (24, 4)
+    assert s4.generators == ((1, 0, 2, 3), (1, 2, 3, 0))
+    # (1 2 3) and (2 3 4) generate A4; both forms give the same values
+    a4 = s4.subgroup(["(1 2 3)", (0, 2, 3, 1)])
+    assert a4.generators == ((1, 2, 0, 3), (0, 2, 3, 1))
+    assert (len(a4), a4.index_in_parent) == (12, 2)
+    assert a4.elements == generate_group(["(1 2 3)", (0, 2, 3, 1)]).elements
+    short = s4.subgroup([(1, 0), "()"])  # padded with fixed points
+    assert short.generators == ((1, 0, 2, 3), (0, 1, 2, 3)) and len(short) == 2
+    sl23 = congruence_group(2, 3)
+    assert sl23.subgroup([((4, -2), (3, 1))]).generators == (((1, 1), (0, 1)),)
+
+
 def test_generate_group_validates_permutations():
     with pytest.raises(ValueError):
         generate_group([(0, 0, 1)])
+    with pytest.raises(ValueError):
+        generate_group(["(1 2 3)", (0, 0)])
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="element cap must be positive"):
+            generate_group(["(1 2)"], cap=cap)
     # no generators: the trivial group
     assert len(generate_group([])) == 1
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_markov_operator_entries():
     # interior rows are stochastic, boundary rows are deficient
     assert row_sums[0] == op.denominator
     boundary_rows = set(np.nonzero((np.asarray(ball.gen_images) < 0).any(axis=0))[0])
-    assert boundary_rows == {i for i in range(ball.node_count) if ball.distance(i) == 2}
+    assert boundary_rows == {i for i in range(len(ball)) if ball.distance(i) == 2}
     for i in boundary_rows:
         assert row_sums[i] < op.denominator
 
@@ -276,6 +277,22 @@ def test_reiter_search_window_cap():
     gens = GenSet.symmetrized([parse_gelement("t")])
     with pytest.raises(ResourceLimitError):
         reiter_search(gens, 0.01, max_window=100)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="window cap must be positive"):
+            reiter_search(gens, 0.5, max_window=cap)
+    # a shift past float range is still a window past the cap, not a crash
+    huge = GenSet.symmetrized([GElement(10**400, IDENTITY)])
+    with pytest.raises(ResourceLimitError, match="exceeds cap 1048576"):
+        reiter_search(huge, 1.9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6) | st.integers(0, 10**400), st.floats(1e-3, 1.999))
+def test_reiter_search_window_is_the_least_the_bound_admits(K, eps):
+    gens = GenSet.symmetrized([GElement(K, parse_word("x0"))])
+    N = reiter_search(gens, eps, max_window=10**500).window_size
+    admits = lambda n: Fraction(2 * K, n) <= Fraction(eps) ** 2
+    assert admits(N) and (N == 1 or not admits(N - 1))
 
 
 def test_reiter_certificate_validation():

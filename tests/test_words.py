@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,20 @@ def test_parse_word_bounds_literal_size():
     with pytest.raises(ResourceLimitError):
         parse_word(f"x1^{half} x2^-{half}")
     assert parse_word("x1^3") == Word(((1, 1),) * 3)
+
+
+def test_parse_word_reduces_runs_without_expanding_them():
+    tracemalloc.start()
+    try:
+        word = parse_word(f"x1^{MAX_WORD_LETTERS}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word.letters == ((1, 1),) * MAX_WORD_LETTERS
+    # a pointer per letter in the reduced prefix, then one in the word's
+    # tuple: 16 MiB; a letter list built first took 80 MiB
+    assert peak < 32 << 20
+    assert parse_word("x1^5 x1^-3 x2^2 x2^-2 x1^-2") == IDENTITY
 
 
 def test_parse_word_errors_carry_position():
