@@ -31,7 +31,6 @@ from .cosets import Coset, OrbitBall, act, h_orbit_partition, normal_form, orbit
 from .spectral import (
     GenSet,
     ReiterCertificate,
-    SparseOperator,
     SpectralProfile,
     delta_invariance_check,
     free_generator_set,

@@ -5,11 +5,11 @@ Characters are class functions stored as one complex value per conjugacy
 class.  Induction, restriction, inner products, reciprocity checks, and
 invariant-vector dimension counts are all multiplicity statements, fully
 decided by characters.  Values are complex floats read from the tables,
-so results carry rounding error: multiplicities are rounded to integers by
-`_as_int`, which rejects any value more than 1e-9 from an integer, and
-induction in stages compares characters classwise at `tol=1e-9`.
-Irreducible tables are supplied as curated data files and validated on
-load by orthonormality (within 1e-9).
+so results carry rounding error, and every comparison allows the one
+tolerance TOL = 1e-9: multiplicities are rounded to integers by `_as_int`,
+which rejects any value more than TOL from an integer, induction in stages
+compares characters classwise within TOL, and irreducible tables, supplied
+as curated data files, are validated on load by orthonormality within TOL.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from typing import List, Tuple
 
 from .finitegroup import FiniteGroup, Subgroup
 
+TOL = 1e-9
 
-def _as_int(z: complex, what: str, tol: float = 1e-9) -> int:
-    if abs(z.imag) > tol or abs(z.real - round(z.real)) > tol:
-        raise ValueError(f"{what} = {z} is not an integer within {tol}")
+
+def _as_int(z: complex, what: str) -> int:
+    if abs(z.imag) > TOL or abs(z.real - round(z.real)) > TOL:
+        raise ValueError(f"{what} = {z} is not an integer within {TOL}")
     return int(round(z.real))
 
 
@@ -107,7 +109,7 @@ def induce_character(chi: Character, G: FiniteGroup) -> Character:
 
 def invariant_dimension(chi: Character) -> int:
     """Dimension of the invariant subspace: the multiplicity of the trivial
-    character, <chi, 1>.  Raises if the value is not an integer within 1e-9
+    character, <chi, 1>.  Raises if the value is not an integer within TOL
     (which signals a non-character input)."""
     ip = inner_product(chi, Character.trivial(chi.group))
     return _as_int(ip, "invariant dimension")
@@ -158,9 +160,9 @@ def transfer_character(chi: Character, target: FiniteGroup) -> Character:
 
 
 def stages_check(G: FiniteGroup, H: Subgroup, F: FiniteGroup,
-                 chi_F: Character, tol: float = 1e-9) -> bool:
+                 chi_F: Character) -> bool:
     """Induction in stages for nested groups F <= H <= G: inducing chi_F
-    from F to H and then to G agrees classwise (within tol) with inducing
+    from F to H and then to G agrees classwise (within TOL) with inducing
     directly from F to G.
 
     Also verifies that inducing the trivial character from F to H equals
@@ -183,13 +185,13 @@ def stages_check(G: FiniteGroup, H: Subgroup, F: FiniteGroup,
     two_step = induce_character(induce_character(chi_h, H), G)
     direct = induce_character(chi_g, G)
     stages_ok = all(
-        abs(a - b) <= tol for a, b in zip(two_step.values, direct.values)
+        abs(a - b) <= TOL for a, b in zip(two_step.values, direct.values)
     )
 
     ind_trivial = induce_character(Character.trivial(f_in_h), H)
     perm = coset_permutation_character(f_in_h)
     quasiregular_ok = all(
-        abs(a - b) <= tol for a, b in zip(ind_trivial.values, perm.values)
+        abs(a - b) <= TOL for a, b in zip(ind_trivial.values, perm.values)
     )
     return stages_ok and quasiregular_ok
 
@@ -237,7 +239,7 @@ def parse_character_table(group: FiniteGroup, text: str,
             b = chars[j]
             ip = inner_product(a, b)
             target = 1.0 if i == j else 0.0
-            if abs(ip - target) > 1e-9:
+            if abs(ip - target) > TOL:
                 raise ValueError(
                     f"{origin}: orthonormality fails for ({a.name}, {b.name}): "
                     f"inner product {ip}"

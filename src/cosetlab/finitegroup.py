@@ -212,8 +212,6 @@ class FiniteGroup:
         self.degree = degree
         self.modulus = modulus
         self.generators = tuple(generators)
-        self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
-        self._class_of: Optional[List[int]] = None
         self._verify_axioms()
 
     # -- basic structure ---------------------------------------------------
@@ -277,8 +275,9 @@ class FiniteGroup:
 
     # -- conjugacy ---------------------------------------------------------
 
-    def _compute_classes(self):
-        """Conjugation orbits {x g x^-1}, one batched pass per class."""
+    def _compute_classes(self) -> Tuple[Tuple[ConjugacyClass, ...], List[int]]:
+        """Conjugation orbits {x g x^-1}, one batched pass each, and each
+        element's class number."""
         a = self._rows
         a_inv = a[self._inv]
         class_of = np.full(len(self), -1, dtype=np.intp)
@@ -289,19 +288,18 @@ class FiniteGroup:
             members = np.unique(self._find(self._op(self._op(a, a[i:i + 1]), a_inv)))
             class_of[members] = len(classes)
             classes.append(ConjugacyClass(i, tuple(members.tolist())))
-        self._classes = tuple(classes)
-        self._class_of = class_of.tolist()
+        return tuple(classes), class_of.tolist()
+
+    @cached_property
+    def _class_data(self) -> Tuple[Tuple[ConjugacyClass, ...], List[int]]:
+        return self._compute_classes()  # a method of its own: perfbench times it
 
     @property
     def classes(self) -> Tuple[ConjugacyClass, ...]:
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
+        return self._class_data[0]
 
     def class_of(self, i: int) -> int:
-        if self._class_of is None:
-            self._compute_classes()
-        return self._class_of[i]
+        return self._class_data[1][i]
 
     # -- subgroups ----------------------------------------------------------
 
@@ -329,8 +327,6 @@ class Subgroup(FiniteGroup):
         )
         self.parent = parent
         self.parent_index = tuple(parent._find(rows).tolist())
-        self._transversal: Optional[Tuple[int, ...]] = None
-        self._coset_id: Optional[List[int]] = None
 
     @property
     def index_in_parent(self) -> int:
@@ -339,7 +335,9 @@ class Subgroup(FiniteGroup):
     def to_parent(self, si: int) -> int:
         return self.parent_index[si]
 
-    def _compute_cosets(self):
+    @cached_property
+    def _coset_data(self) -> Tuple[Tuple[int, ...], List[int]]:
+        """Left coset representatives, and each parent element's coset."""
         parent = self.parent
         cid = np.full(len(parent), -1, dtype=np.intp)
         reps: List[int] = []
@@ -349,21 +347,16 @@ class Subgroup(FiniteGroup):
             coset = parent._find(parent._op(parent._rows[pi:pi + 1], self._rows))
             cid[coset] = len(reps)
             reps.append(pi)
-        self._transversal = tuple(reps)
-        self._coset_id = cid.tolist()
+        return tuple(reps), cid.tolist()
 
     @property
     def transversal(self) -> Tuple[int, ...]:
         """Left coset representatives (parent indices), identity coset first."""
-        if self._transversal is None:
-            self._compute_cosets()
-        return self._transversal
+        return self._coset_data[0]
 
     def coset_id(self, pi: int) -> int:
         """Which left coset x * H the parent element at index pi lies in."""
-        if self._coset_id is None:
-            self._compute_cosets()
-        return self._coset_id[pi]
+        return self._coset_data[1][pi]
 
 
 def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = None,
@@ -419,11 +412,26 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
 
 
 def congruence_group(n: int, m: int, cap: int = 10**6) -> FiniteGroup:
-    """SL(n, Z/m), generated by the n(n-1) elementary transvections."""
+    """SL(n, Z/m), generated by the n(n-1) elementary transvections.
+
+    The products L U of a unit lower and a unit upper triangular matrix are
+    distinct (the two groups meet only in I), so the order is at least
+    m^(n(n-1)); past cap, ResourceLimitError comes before any generator is
+    built.
+    """
     if n < 2:
         raise ValueError(f"matrix size must be >= 2, got {n}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
+    if cap < 1:
+        raise ValueError(f"element cap must be positive, got {cap}")
+    bound = 1
+    for _ in range(n * (n - 1)):  # stops past cap: never the whole power
+        bound *= m
+        if bound > cap:
+            raise ResourceLimitError(
+                f"group order exceeds cap {cap}: |SL({n}, Z/{m})| >= {m}^{n * (n - 1)}"
+            )
     gens = []
     for i in range(n):
         for j in range(n):

@@ -5,8 +5,9 @@ spectral-radius lower bounds by a matrix-free LOBPCG on a ball's generator
 images, exact invariance checks for single basis vectors, and
 almost-invariant (Reiter) vectors: uniform on a window of cosets along the
 shift direction, with their deviations in closed form as exact rationals
-2m/N.  numpy, imported lazily, runs only for the solve and the operator;
-scipy is loaded only by markov_operator, the sparse-matrix referee.
+2m/N.  numpy, imported lazily, runs only for the solve and the operator.
+scipy is needed only by markov_operator, the sparse-matrix referee; it
+comes with the test extra, not with the runtime dependencies.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from ._lazy import lazy_import
 from .cosets import Coset, OrbitBall, act, orbit_ball
@@ -32,9 +33,6 @@ from .freegroup import (
 )
 
 np = lazy_import("numpy")
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class GenSet:
@@ -92,53 +90,30 @@ def free_generator_set(k: int) -> GenSet:
     return GenSet(elems)
 
 
-class SparseOperator:
-    """Symmetric substochastic operator on an orbit-ball basis.
+class MarkovOperator(NamedTuple):
+    """A symmetric substochastic operator on an orbit-ball basis, with exact
+    rational entries: an integer-count CSR matrix over a common denominator
+    (the generator multiset size)."""
 
-    Entries are exact rationals count/denominator, held as an integer-count
-    sparse matrix plus the common denominator (the generator multiset size).
-    Row sums are <= 1, with equality exactly on interior nodes.
-    """
-
-    __slots__ = ("counts", "denominator", "_matrix")
-
-    def __init__(self, counts: sp.spmatrix, denominator: int):
-        counts = counts.tocsr()
-        n, m = counts.shape
-        if n != m:
-            raise ValueError(f"operator must be square, got {counts.shape}")
-        if denominator < 1:
-            raise ValueError(f"denominator must be positive, got {denominator}")
-        if (counts != counts.T).nnz != 0:
-            raise ValueError("operator is not symmetric")
-        row_sums = np.asarray(counts.sum(axis=1)).ravel()
-        if len(row_sums) and row_sums.max(initial=0) > denominator:
-            raise ValueError("row sum exceeds 1")
-        if counts.nnz and counts.data.min() < 0:
-            raise ValueError("negative entry count")
-        self.counts = counts
-        self.denominator = denominator
-        self._matrix = None
+    counts: "scipy.sparse.csr_matrix"
+    denominator: int
 
     @property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> "scipy.sparse.csr_matrix":
         """Floating-point form, counts / denominator."""
-        if self._matrix is None:
-            self._matrix = self.counts.astype(np.float64) / self.denominator
-        return self._matrix
+        return self.counts / self.denominator
 
 
-def markov_operator(ball: OrbitBall) -> SparseOperator:
+def markov_operator(ball: OrbitBall) -> MarkovOperator:
     """M = (1/|S|) sum over s in S of the action permutation compressed to
     the ball (images outside the ball dropped: zero boundary).
 
-    The ball's generator multiset must be symmetric; then M is exactly
-    symmetric with rational entries of denominator |S|.  This is the
-    sparse-matrix referee for kesten_profile, which does not use it.
+    M must come out exactly symmetric, or ValueError: eigvalsh reads one
+    triangle only.  This is the sparse-matrix referee for kesten_profile,
+    so it shares none of the solver's code.
     """
     import scipy.sparse as sp
 
-    gens = GenSet(ball.generators)
     n = len(ball)
     images = np.asarray(ball.gen_images)
     mask = images >= 0
@@ -146,7 +121,9 @@ def markov_operator(ball: OrbitBall) -> SparseOperator:
     col = images[mask].astype(np.int64)
     data = np.ones(len(row), dtype=np.int64)
     counts = sp.coo_matrix((data, (row, col)), shape=(n, n)).tocsr()
-    return SparseOperator(counts, len(gens))
+    if (counts != counts.T).nnz:
+        raise ValueError("operator is not symmetric")
+    return MarkovOperator(counts, len(ball.generators))
 
 
 # A radius stops once the Rayleigh quotient gains less than GAIN, or after

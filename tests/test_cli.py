@@ -561,15 +561,25 @@ def test_kesten_fuzz_exits_in_bounds(radii, k, cap, garbage):
 
 
 @settings(max_examples=60, deadline=2000)
-@given(st.integers(2, 3) | st.integers(-1, 5), st.integers(2, 12) | st.integers(-1, 40),
-       st.integers(1, 10**4) | st.integers(-3, 0))
+@given(st.integers(2, 3) | st.integers(-1, 5) | st.integers(6, 10**9),
+       st.integers(2, 12) | st.integers(-1, 40), st.integers(1, 10**4) | st.integers(-3, 0))
 def test_congruence_fuzz_exits_in_bounds(n, m, cap):
     code = _run_quiet(["congruence", f"{n}", f"{m}", f"--cap={cap}", "--no-meta"])
     assert code in (0, 1, 2, 3)
     if n >= 2 and m >= 2 and cap >= 1:
-        assert code == (3 if special_linear_order(n, m) > cap else 0)
+        # from n = 6 the order is at least m^(n(n-1)) >= 2^30 > cap
+        assert code == (3 if n >= 6 or special_linear_order(n, m) > cap else 0)
     else:
         assert code == 2
+
+
+def test_congruence_past_the_triangular_bound_exits_3_at_once():
+    # |SL(40, Z/2)| >= 2^1560: refused before any generator is built
+    env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
+    got = subprocess.run([sys.executable, "-m", "cosetlab", "congruence", "40", "2"],
+                         env=env, capture_output=True, text=True, timeout=2)
+    assert got.returncode == 3 and got.stdout == ""
+    assert "cap 1000000" in got.stderr and "2^1560" in got.stderr
 
 
 def _elementary_product(n, steps):

@@ -171,15 +171,24 @@ def test_kesten_profile_matches_dense_eigenvalues(inputs):
         assert truth - 1e-10 <= est <= truth + 1e-12
 
 
-def test_kesten_profile_rejects_an_asymmetric_ball(monkeypatch):
-    def corrupted(*args, **kwargs):
-        ball = orbit_ball(*args, **kwargs)
-        ball.gen_images[0, [1, 2]] = ball.gen_images[0, [2, 1]]
-        return ball
+def _corrupted_ball(*args, **kwargs):
+    # the first generator's images of nodes 1 and 2 swapped
+    ball = orbit_ball(*args, **kwargs)
+    ball.gen_images[0, [1, 2]] = ball.gen_images[0, [2, 1]]
+    return ball
 
-    monkeypatch.setattr(spectral, "orbit_ball", corrupted)
+
+def test_kesten_profile_rejects_an_asymmetric_ball(monkeypatch):
+    monkeypatch.setattr(spectral, "orbit_ball", _corrupted_ball)
     with pytest.raises(ValueError, match="not symmetric"):
         kesten_profile(Coset(0, IDENTITY), free_generator_set(2), (1, 2))
+
+
+def test_markov_operator_rejects_an_asymmetric_ball():
+    # the referee sees the same corruption with none of the solver's code
+    ball = _corrupted_ball(Coset(0, IDENTITY), tuple(free_generator_set(2)), 2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        markov_operator(ball)
 
 
 def test_spectral_profile_validation():
