@@ -331,6 +331,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse before Python 3.12 drops "--" given as an option's value
+        # ("--radii=--") and stores []; no option here takes a list.
+        for name, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cosetlab import cli, suite
 from cosetlab._lazy import lazy_import
@@ -101,6 +101,21 @@ def test_kesten_usage_errors(capsys):
     assert run(capsys, "kesten", "--radii", "5..3")[0] == 2
     assert run(capsys, "kesten", "--radii", "3,3")[0] == 2
     assert run(capsys, "kesten", "--radii", "")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kesten", "--radii=--"],
+    ["kesten", "--cap=--"],
+    ["kesten", "--csv=--"],
+    ["reiter", "t", "--epsilon=--"],
+    ["reiter", "t", "--epsilon=0.5", "--window=--"],
+    ["congruence", "--witness=--"],
+    ["congruence", "3", "3", "--out=--"],
+])
+def test_double_dash_as_an_option_value_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "expected one argument" in err
 
 
 def test_kesten_resource_cap(capsys):
@@ -548,6 +563,7 @@ def _radii(draw):
 
 
 @settings(max_examples=100, deadline=2000)
+@example(("2..2", 2), 1, 1, "--")
 @given(_radii(), st.integers(1, 4) | st.integers(-1, 50),
        st.integers(1, 10**4) | st.integers(-1, 10**4),
        st.none() | st.text("0123456789.,-kx ", max_size=8))
