@@ -26,6 +26,7 @@ node-by-node breadth-first search.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence
 
 from ._lazy import lazy_import
@@ -103,9 +104,10 @@ _LOW = (1 << 32) - 1
 # Shifts and letter offsets are clamped to +-_CLAMP before entering int64;
 # past LEVEL_LIMIT + INDEX_LIMIT the clamped value decides the same tests.
 _CLAMP = 1 << 40
-# (parent, generator) pairs per slice of a BFS layer: bounds the memory of
-# a layer's images, and the node cap is checked after every slice.
-SLICE_PAIRS = 1 << 16
+# (parent, generator) pairs per slice of a BFS layer: bounds the temporaries
+# of a layer's images (about 130 bytes a pair); the node cap is checked
+# after every slice.
+SLICE_PAIRS = 1 << 15
 # Generator images (generators x nodes, int32) a ball may store, checked
 # before each layer; four generators reach the default node cap first.
 IMAGE_LIMIT = 1 << 23
@@ -123,91 +125,96 @@ def _check_index(jmax: int) -> None:
         )
 
 
-class _Table:
-    """Sorted int64 keys with int64 values, searched an array at a time."""
+def _lookup(table, q: np.ndarray) -> np.ndarray:
+    keys, vals = table
+    out = np.full(len(q), -1, np.int64)
+    if len(keys):
+        pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        hit = keys[pos] == q
+        out[hit] = vals[pos[hit]]
+    return out
 
-    __slots__ = ("keys", "vals")
+
+def _merge(table, keys: np.ndarray, vals: np.ndarray):
+    pos = np.searchsorted(table[0], keys)
+    return np.insert(table[0], pos, keys), np.insert(table[1], pos, vals)
+
+
+class _Table:
+    """Sorted int64 keys with int64 values, searched an array at a time.
+    Added keys are pending, in a second sorted table, until commit() merges
+    them in; rollback() forgets them.  A merge costs the size of the table,
+    so a ball commits once per layer, not once per slice."""
+
+    __slots__ = ("main", "new")
 
     def __init__(self):
-        self.keys = np.empty(0, np.int64)
-        self.vals = np.empty(0, np.int64)
+        self.main = (np.empty(0, np.int64),) * 2  # (keys, values)
+        self.rollback()
+
+    def __len__(self) -> int:
+        return len(self.main[0]) + len(self.new[0])
 
     def get(self, q: np.ndarray) -> np.ndarray:
-        """The value of each key in q, or -1 where it is absent."""
-        out = np.full(len(q), -1, np.int64)
-        if len(self.keys):
-            pos = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
-            hit = self.keys[pos] == q
-            out[hit] = self.vals[pos[hit]]
+        """The value of each key in q, or -1 where it is absent.  Sorted
+        queries walk a table once: several times faster than random ones."""
+        out = _lookup(self.main, q)
+        miss = np.flatnonzero(out < 0)
+        out[miss] = _lookup(self.new, q[miss])
         return out
 
     def add(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Insert distinct keys that are not yet present."""
-        order = np.argsort(keys)
-        pos = np.searchsorted(self.keys, keys[order])
-        self.keys = np.insert(self.keys, pos, keys[order])
-        self.vals = np.insert(self.vals, pos, vals[order])
+        """Insert sorted distinct keys that are not yet present."""
+        self.new = _merge(self.new, keys, vals)
+
+    def commit(self) -> None:
+        if len(self.new[0]):
+            self.main = _merge(self.main, *self.new)
+            self.rollback()
+
+    def rollback(self) -> None:
+        self.new = (np.empty(0, np.int64),) * 2
 
 
 class _Tails:
     """Hash-consed tails: id t > 0 is the word first[t] . rest[t], where
-    first[t] is a letter code; id 0 is the empty word.
-
-    Tails interned since the last commit() are pending: rollback() forgets
-    them, so the images of a ball's outer layer intern nothing for good.
+    first[t] is a letter code; id 0 is the empty word.  The table maps each
+    key (first << 32 | rest) to its id; tails interned since its last
+    commit() are pending, so the images of a ball's outer layer, rolled
+    back, intern nothing for good.
     """
 
     def __init__(self):
         self.first = np.full(1024, -1, np.int64)  # -1 at id 0 matches no code
         self.rest = np.zeros(1024, np.int64)
-        self.size = 1
         self.table = _Table()
-        self._pending = _Table()
-        self._committed = 1
 
     def prepend(self, cur: np.ndarray, code: np.ndarray) -> np.ndarray:
         """Ids of the reduced words code[k] . cur[k]."""
         out = self.rest[cur]
-        fresh = self.first[cur] != code ^ 1
+        fresh = np.flatnonzero(self.first[cur] != code ^ 1)
         out[fresh] = self._intern((code[fresh] << 32) | cur[fresh])
         return out
 
     def _intern(self, keys: np.ndarray) -> np.ndarray:
-        ids = self.table.get(keys)
-        miss = ids < 0
-        if miss.any():
-            pend = self._pending.get(keys[miss])
-            new = pend < 0
-            if new.any():
-                uniq, inv = np.unique(keys[miss][new], return_inverse=True)
-                start, end = self.size, self.size + len(uniq)
-                if end > TAIL_LIMIT:
-                    raise ValueError(
-                        f"orbit ball needs more than TAIL_LIMIT = {TAIL_LIMIT} "
-                        "interned tails"
-                    )
-                if end > len(self.first):
-                    grow = max(end, 2 * len(self.first)) - len(self.first)
-                    self.first = np.concatenate([self.first, np.full(grow, -1, np.int64)])
-                    self.rest = np.concatenate([self.rest, np.zeros(grow, np.int64)])
-                self.first[start:end] = uniq >> 32
-                self.rest[start:end] = uniq & _LOW
-                ids_new = np.arange(start, end, dtype=np.int64)
-                self._pending.add(uniq, ids_new)
-                self.size = end
-                pend[new] = ids_new[inv]
-            ids[miss] = pend
-        return ids
-
-    def commit(self) -> None:
-        if self.size > self._committed:
-            self.table.add(self._pending.keys, self._pending.vals)
-        self._pending = _Table()
-        self._committed = self.size
-
-    def rollback(self) -> None:
-        self._pending = _Table()
-        self.size = self._committed
+        uniq, inv = np.unique(keys, return_inverse=True)
+        ids = self.table.get(uniq)
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            start = len(self.table) + 1
+            end = start + len(new)
+            if end > TAIL_LIMIT:
+                raise ValueError(
+                    f"orbit ball needs more than TAIL_LIMIT = {TAIL_LIMIT} interned tails")
+            if end > len(self.first):
+                grow = max(end, 2 * len(self.first)) - len(self.first)
+                self.first = np.concatenate([self.first, np.full(grow, -1, np.int64)])
+                self.rest = np.concatenate([self.rest, np.zeros(grow, np.int64)])
+            self.first[start:end] = uniq[new] >> 32
+            self.rest[start:end] = uniq[new] & _LOW
+            ids[new] = np.arange(start, end)
+            self.table.add(uniq[new], ids[new])
+        return ids[inv]
 
 
 class OrbitBall:
@@ -216,31 +223,41 @@ class OrbitBall:
     Node 0 is the base coset; nodes appear in deterministic breadth-first
     order (parents in node order, generators in the given order), so nodes
     within distance r form a prefix of the node list for every r <= radius.
-    Each node is stored as its level offset from the base level and an
-    interned tail id (see the module docstring).  gen_images is an int32
-    array with one row per generator; images landing outside the ball are
-    boundary marks, stored as -1.
+    Each node is one key of the sorted node table, packing its level offset
+    from the base level and its interned tail id (see the module docstring).
+    gen_images is an int32 array with one row per generator; images landing
+    outside the ball are boundary marks, stored as -1.
     """
 
-    def __init__(self, base, generators, radius, tails, nodes, levels, tail_ids,
-                 distances, images):
+    def __init__(self, base, generators, radius, tails, nodes, ends, images):
         self.base = base
         self.generators = tuple(generators)
         self.radius = radius
         self._tails = tails
         self._nodes = nodes
-        self._level = levels
-        self._tail = tail_ids
-        self.distances = distances
+        self._ends = ends  # _ends[d]: the number of nodes within distance d
         self.gen_images = images
 
     def __len__(self) -> int:
-        return len(self._level)
+        return self._ends[-1]
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The node keys in node order."""
+        keys = np.empty(len(self), np.int64)
+        keys[self._nodes.main[1]] = self._nodes.main[0]
+        return keys
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self._ends), dtype=np.int32),
+                         np.diff(self._ends, prepend=0))
 
     def node(self, i: int) -> Coset:
-        level = self.base.level + int(self._level[i])
+        key = int(self._keys[i])
+        level = self.base.level + (key >> 32) - LEVEL_LIMIT
         letters = []
-        t = int(self._tail[i])
+        t = key & _LOW
         while t:
             code = int(self._tails.first[t])
             letters.append((level + (code >> 1), -1 if code & 1 else 1))
@@ -272,49 +289,50 @@ class OrbitBall:
 
     def prefix_size(self, r: int) -> int:
         """Number of nodes within distance r (a prefix, by BFS order)."""
-        if r >= self.radius:
-            return len(self)
-        return int(np.searchsorted(self.distances, r, side="right"))
+        return self._ends[min(r, len(self._ends) - 1)] if r >= 0 else 0
 
 
-def _expand(tails, nodes, shifts, letters, lvl, tid, count, grow):
-    """Images of the parents (lvl, tid) under every generator, flattened in
-    (parent, generator) order.
+def _expand(tails, nodes, shifts, letters, keys, out, fresh):
+    """Images of the nodes with the given keys under every generator,
+    written to out (generators x nodes), in (parent, generator) order.
 
-    Unseen images become nodes count, count + 1, ... by first occurrence
-    when grow is set, and -1 otherwise.  Returns the images and the level
-    offsets and tail ids of the new nodes.
+    Unseen images become new nodes, numbered on from len(nodes) by first
+    occurrence, with their keys appended to fresh; without fresh (None)
+    they are -1 and interned tails are rolled back.
     """
-    gi = np.tile(np.arange(len(shifts)), len(lvl))
-    plvl = np.repeat(lvl, len(shifts))
-    cur = np.repeat(tid, len(shifts))
+    lvl = (keys >> 32) - LEVEL_LIMIT
+    cur = np.repeat(keys & _LOW, len(shifts))
     for offset, negative in letters:
-        j = offset[gi] - plvl
-        at = np.flatnonzero(j > 0)
+        code = offset - lvl[:, None]  # j, then 2j + (exponent < 0) in place
+        code <<= 1
+        code += negative
+        code = code.ravel()
+        at = np.flatnonzero(code > 1)  # j > 0: the letter is above the level
         if len(at):
-            _check_index(int(j[at].max()))
-            cur[at] = tails.prepend(cur[at], 2 * j[at] + negative[gi[at]])
-    new_lvl = plvl + shifts[gi]
-    if len(new_lvl) and int(np.abs(new_lvl).max()) >= LEVEL_LIMIT:
+            code = code[at]
+            _check_index(int(code.max()) >> 1)
+            cur[at] = tails.prepend(cur[at], code)
+    key = (lvl[:, None] + shifts).ravel()
+    if max(int(key.max()), -int(key.min())) >= LEVEL_LIMIT:
         raise ValueError(
-            f"orbit ball spans more than LEVEL_LIMIT = {LEVEL_LIMIT} levels "
-            "from its base"
-        )
-    key = ((new_lvl + LEVEL_LIMIT) << 32) | cur
-    img = nodes.get(key)
-    miss = np.flatnonzero(img < 0)
-    if not grow:
-        tails.rollback()
-        return img, new_lvl[:0], cur[:0]
-    uniq, first, inv = np.unique(key[miss], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    ids = np.empty(len(order), np.int64)
-    ids[order] = np.arange(count, count + len(order))
-    img[miss] = ids[inv]
-    nodes.add(uniq, ids)
-    tails.commit()
-    src = miss[first[order]]
-    return img, new_lvl[src], cur[src]
+            f"orbit ball spans more than LEVEL_LIMIT = {LEVEL_LIMIT} levels from its base")
+    key += LEVEL_LIMIT
+    key <<= 32
+    key |= cur
+    del cur
+    uniq, inv = np.unique(key, return_inverse=True)  # sorted: a fast lookup
+    ids = nodes.get(uniq)
+    if fresh is None:
+        tails.table.rollback()
+    else:
+        new = np.flatnonzero(ids < 0)
+        first = np.full(len(uniq), len(key))
+        np.minimum.at(first, inv, np.arange(len(key)))
+        order = new[np.argsort(first[new])]  # numbered by first occurrence
+        ids[order] = np.arange(len(nodes), len(nodes) + len(new))
+        fresh.append(uniq[order])
+        nodes.add(uniq[new], ids[new])
+    out[...] = ids[inv].reshape(out.shape[::-1]).T
 
 
 def orbit_ball(
@@ -363,48 +381,39 @@ def orbit_ball(
         j = i - base.level
         _check_index(j)
         tid = int(tails.prepend(np.array([tid]), np.array([2 * j + (e < 0)]))[0])
-    tails.commit()
+    tails.table.commit()
     nodes = _Table()
-    nodes.add(np.array([LEVEL_LIMIT << 32 | tid]), np.array([0]))
+    layer = np.array([LEVEL_LIMIT << 32 | tid])  # the keys of the nodes at distance d
+    nodes.add(layer, np.array([0]))
 
-    layers = [(np.zeros(1, np.int64), np.array([tid], np.int64))]
-    blocks = []
-    count = 1
+    # Each layer's images go straight into one (generators x layer) block;
+    # only the layer being expanded and the one being found are held.
+    ends, blocks = [], []
     step = max(1, SLICE_PAIRS // len(gens))
     while True:
-        d = len(layers) - 1
-        if len(gens) * count > IMAGE_LIMIT:
+        d, found = len(ends), len(nodes)
+        if len(gens) * found > IMAGE_LIMIT:
             raise ResourceLimitError(
                 f"orbit ball exceeded image limit {IMAGE_LIMIT}: {len(gens)} generators "
-                f"on the {count} nodes within radius {d} need {len(gens) * count} images")
-        lvl, tid_arr = layers[d]
-        grow, found = d < radius, count
-        new_lvl, new_tid = [], []
-        for a in range(0, len(lvl), step):
-            img, nl, nt = _expand(tails, nodes, shifts, letters, lvl[a:a + step],
-                                  tid_arr[a:a + step], count, grow)
-            blocks.append(img.astype(np.int32))
-            count += len(nl)
-            if count > cap:
+                f"on the {found} nodes within radius {d} need {len(gens) * found} images")
+        ends.append(found)
+        block = np.empty((len(gens), len(layer)), np.int32)
+        fresh = [] if d < radius else None
+        for a in range(0, len(layer), step):
+            _expand(tails, nodes, shifts, letters, layer[a:a + step],
+                    block[:, a:a + step], fresh)
+            if len(nodes) > cap:
                 raise ResourceLimitError(
                     f"orbit ball exceeded node cap {cap}: {found} nodes found within "
-                    f"radius {d}, and radius {d + 1} adds at least {count - found} more")
-            new_lvl.append(nl)
-            new_tid.append(nt)
-        new_lvl = np.concatenate(new_lvl)
-        if not len(new_lvl):
+                    f"radius {d}, and radius {d + 1} adds at least {len(nodes) - found} more")
+        blocks.append(block)
+        nodes.commit()
+        tails.table.commit()
+        if len(nodes) == found:
             break
-        layers.append((new_lvl, np.concatenate(new_tid)))
-
-    sizes = [len(lv) for lv, _ in layers]
-    images = np.ascontiguousarray(np.concatenate(blocks).reshape(-1, len(gens)).T)
-    distances = np.repeat(np.arange(len(layers), dtype=np.int32), sizes)
-    return OrbitBall(
-        base, gens, radius, tails, nodes,
-        np.concatenate([lv for lv, _ in layers]),
-        np.concatenate([t for _, t in layers]),
-        distances, images,
-    )
+        layer = np.concatenate(fresh)
+    return OrbitBall(base, gens, radius, tails, nodes, ends,
+                     np.concatenate(blocks, axis=1))
 
 
 def h_orbit_partition(
@@ -431,11 +440,11 @@ def h_orbit_partition(
     for n in window:
         n = int(n)
         ball = orbit_ball(Coset(n, IDENTITY), gens, radius, cap=cap)
-        moved = np.flatnonzero(ball._level)
+        moved = np.flatnonzero(ball._keys >> 32 != LEVEL_LIMIT)
         if len(moved):
             raise RuntimeError(
                 f"shift-0 orbit left level {n}: "
-                f"reached level {n + int(ball._level[moved[0]])}"
+                f"reached level {ball.node(int(moved[0])).level}"
             )
         out[n] = ball
     return out

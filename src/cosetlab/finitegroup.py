@@ -27,6 +27,10 @@ Perm = Tuple[int, ...]
 
 # Products formed at once during closure; bounds the temporaries of a layer.
 SLICE_PRODUCTS = 1 << 16
+# Bytes a closure may hold, whatever its cap: the element and inverse rows,
+# plus KEY_BYTES per key of the row index and of the next layer (a bytes
+# object, an int and a dict slot; SL(3, Z/5) traces 147 bytes per element).
+CLOSURE_BYTES, KEY_BYTES = 64 << 20, 128
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -145,10 +149,10 @@ def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int):
     generator; new elements are numbered by first occurrence in (parent,
     generator) order, which is the order of an element-by-element walk.
     Inverses follow the same products: (x g)^-1 = g^-1 x^-1.  Products are
-    formed in slices of SLICE_PRODUCTS, and the cap is checked after each
-    slice, before the layer is committed, so a layer past the cap is never
-    built.  Returns (element rows in discovery order, key -> index map,
-    inverse index list).
+    formed in slices of SLICE_PRODUCTS, and the cap and CLOSURE_BYTES are
+    checked after each slice, before the layer is committed, so a layer
+    past either is never built.  Returns (element rows in discovery order,
+    key -> index map, inverse index list).
     """
     first = {}
     for j, key in enumerate(_keys(gens)):
@@ -173,6 +177,12 @@ def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int):
                     f"found and the next breadth-first layer adds at least "
                     f"{len(fresh)} more"
                 )
+            held = len(index) * (2 * identity.nbytes + KEY_BYTES) + len(fresh) * KEY_BYTES
+            if held > CLOSURE_BYTES:
+                raise ResourceLimitError(
+                    f"group closure exceeds CLOSURE_BYTES = {CLOSURE_BYTES} before the "
+                    f"element cap {cap}: {len(index)} elements found and {len(fresh)} "
+                    f"of the next layer hold about {held} bytes")
         index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
         pos = np.fromiter(fresh.values(), np.intp, len(fresh))
         parent, gen = np.divmod(pos, len(gens))

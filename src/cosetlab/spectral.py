@@ -132,27 +132,26 @@ def markov_operator(ball: OrbitBall) -> MarkovOperator:
 GAIN, MAX_STEPS, RANK_FLOOR = 1e-13, 10_000, 1e-10
 
 
-def _edges(ball: OrbitBall) -> Tuple[np.ndarray, np.ndarray]:
+def _edges(generators, images) -> Tuple[np.ndarray, np.ndarray]:
     """The (node, image) pairs of the generator images inside the ball,
     sorted by node, once a copy of each generator's inverse is checked to
     undo it on each: then the walk operator is symmetric at every radius."""
-    partner, waiting = np.arange(len(ball.generators)), {}
-    for s, g in enumerate(ball.generators):
+    partner, waiting = np.arange(len(generators)), {}
+    for s, g in enumerate(generators):
         if waiting.get(g_inv(g)):
             partner[s] = t = waiting[g_inv(g)].pop()
             partner[t] = s
         else:
             waiting.setdefault(g, []).append(s)
-    images = ball.gen_images
-    nodes, gens = np.nonzero((images >= 0).T)
-    targets = images[gens, nodes].astype(np.intp)
-    bad = gens[images[partner[gens], targets] != nodes]
-    if bad.size:
-        s = bad[0]
-        raise ValueError(
-            f"operator is not symmetric: {format_gelement(ball.generators[partner[s]])} "
-            f"does not undo {format_gelement(ball.generators[s])} on the ball")
-    return np.ascontiguousarray(nodes), targets  # nonzero returns strided views
+    for s, row in enumerate(images):
+        at = np.flatnonzero(row >= 0)
+        if (images[partner[s], row[at]] != at).any():
+            raise ValueError(
+                f"operator is not symmetric: {format_gelement(generators[partner[s]])} "
+                f"does not undo {format_gelement(generators[s])} on the ball")
+    inside = (images >= 0).T  # node-major, as the pairs are sorted
+    nodes = np.repeat(np.arange(len(inside)), inside.sum(axis=1))
+    return nodes, images.T[inside].astype(np.intp)
 
 
 def _walk(edges: Tuple[np.ndarray, np.ndarray], n: int, size: int):
@@ -280,8 +279,10 @@ def kesten_profile(
             raise ValueError(f"radii must be strictly increasing, got {a} then {b}")
 
     ball = orbit_ball(base, gens.elements, radii[-1], cap=cap)
-    edges, sizes = _edges(ball), [ball.prefix_size(r) for r in radii]
-    del ball  # the solver needs only the image pairs: free the node tables
+    images, sizes = ball.gen_images, [ball.prefix_size(r) for r in radii]
+    del ball  # the solver reads only the images: free the node and tail tables
+    edges = _edges(gens.elements, images)
+    del images
     estimates, x = [], np.ones(1)  # the base node alone
     for n in sizes:
         start = np.full(n, np.abs(x).min())

@@ -9,11 +9,20 @@ the identity matrix exactly when deleting all letters of index <= n reduces
 it away, i.e. exactly when the word lies in the normal closure of
 {x_i : i <= n}.  This gives an oracle for gamma_member that shares no code
 with the retraction-based implementation.
+
+traced_peak and child_peak_rss measure the memory a call or a command
+takes, for the tests that bound it.
 """
 
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from typing import List, Tuple
 
+import cosetlab
 from cosetlab.freegroup import (
     GElement,
     Word,
@@ -23,6 +32,7 @@ from cosetlab.freegroup import (
 )
 
 Mat = Tuple[Tuple[int, int], Tuple[int, int]]
+
 
 MAT_ID: Mat = ((1, 0), (0, 1))
 
@@ -79,3 +89,31 @@ def random_closure_member(rng: random.Random, n: int, factors: int = 3) -> Word:
 
 def random_gelement(rng: random.Random, max_shift: int = 3, max_len: int = 5) -> GElement:
     return GElement(rng.randint(-max_shift, max_shift), random_word(rng, max_len))
+
+
+def traced_peak(fn):
+    """Call fn() under tracemalloc.  Returns its value, the peak of traced
+    memory during the call and what stays traced after it (what the value
+    holds), both in bytes."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak, held
+
+
+def child_peak_rss(cmd, timeout: float = 120):
+    """Run cmd with cosetlab importable.  Returns its exit code, its stderr
+    and its own peak RSS in KiB.  A process started from this one inherits
+    this one's peak RSS at exec, so a small wrapper process starts the run
+    and reports the run's own peak."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cosetlab.__file__).parents[1]))
+    wrapper = ("import resource, subprocess, sys; "
+               "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    got = subprocess.run([sys.executable, "-c", wrapper, *cmd], env=env,
+                         capture_output=True, text=True, timeout=timeout)
+    code, maxrss_kb = map(int, got.stdout.split())
+    return code, got.stderr, maxrss_kb

@@ -23,6 +23,8 @@ from cosetlab.cli import main
 from cosetlab.finitegroup import special_linear_order
 from cosetlab.freegroup import MAX_WORD_LETTERS
 
+from helpers import child_peak_rss
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -596,6 +598,16 @@ def test_congruence_past_the_triangular_bound_exits_3_at_once():
                          env=env, capture_output=True, text=True, timeout=2)
     assert got.returncode == 3 and got.stdout == ""
     assert "cap 1000000" in got.stderr and "2^1560" in got.stderr
+
+
+def test_congruence_stops_at_the_closure_byte_budget():
+    # |SL(4, Z/3)| = 12,130,560.  Bounded by the element cap alone, the
+    # closure held a million keys and stopped after 2.5 s at 227 MB.
+    code, err, maxrss_kb = child_peak_rss(
+        [sys.executable, "-m", "cosetlab", "congruence", "4", "3", "--no-meta"], timeout=60)
+    assert code == 3
+    assert "CLOSURE_BYTES" in err and "cap 1000000" in err
+    assert maxrss_kb < 170 * 1024
 
 
 def _elementary_product(n, steps):

@@ -1,16 +1,12 @@
 """Coset canonical forms, the group action, and orbit balls."""
 
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import cosetlab
 
 from cosetlab import cosets
 from cosetlab.cosets import (
@@ -34,7 +30,7 @@ from cosetlab.freegroup import (
 )
 from cosetlab.spectral import GenSet, free_generator_set
 
-from helpers import random_closure_member, random_gelement
+from helpers import child_peak_rss, random_closure_member, random_gelement, traced_peak
 
 
 def gens_x12():
@@ -266,19 +262,32 @@ def test_orbit_ball_huge_radius_stops_at_cap_or_orbit_end():
 
 def test_kesten_cap_bounds_layer_memory():
     # radius 3 of the rank-50 free orbit has 980,201 nodes: the layer must
-    # stop at the cap, not after computing its images.  A process started
-    # from this one inherits this one's peak RSS at exec, so a small
-    # wrapper process starts the run and reports the run's own peak.
-    env = dict(os.environ, PYTHONPATH=str(Path(cosetlab.__file__).parents[1]))
-    wrapper = ("import resource, subprocess, sys; "
-               "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
-               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    cmd = [sys.executable, "-m", "cosetlab", "kesten", "-k", "50",
-           "--radii", "1..4", "--cap", "100000"]
-    got = subprocess.run([sys.executable, "-c", wrapper, *cmd], env=env,
-                         capture_output=True, text=True, timeout=120)
-    code, maxrss_kb = map(int, got.stdout.split())
+    # stop at the cap, not after computing its images
+    code, err, maxrss_kb = child_peak_rss(
+        [sys.executable, "-m", "cosetlab", "kesten", "-k", "50", "--radii", "1..4",
+         "--cap", "100000"])
     assert code == 3
-    assert "node cap 100000" in got.stderr
+    assert "node cap 100000" in err
     # computing the whole layer before checking the cap peaked near 200 MB
     assert maxrss_kb < 150 * 1024
+
+
+def test_orbit_ball_outer_slices_leave_nothing_behind(monkeypatch):
+    # The outer layer's images are looked up, not grown, and written in
+    # place into the layer's image block, so a slice leaves nothing traced
+    # behind it.  Returning views of a slice's buffers kept two of them
+    # alive per slice until the layer ended.
+    monkeypatch.setattr(cosets, "SLICE_PAIRS", 1024)
+    expand, after = cosets._expand, []
+
+    def spy(*args):
+        out = expand(*args)
+        if args[-1] is None:  # no list for new nodes: a slice of the outer layer
+            after.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(cosets, "_expand", spy)
+    ball, _, _ = traced_peak(lambda: orbit_ball(Coset(0, IDENTITY), gens_x12(), 8))
+    assert len(ball) == 13121
+    assert len(after) == 35  # 8,748 outer nodes times 4 generators, in slices of 1,024
+    assert max(after) - after[0] < 1024 * 8  # less than one slice buffer in all

@@ -24,6 +24,7 @@ from cosetlab.spectral import (
 )
 
 from coset_oracle import _exact_deviations, window_vector
+from helpers import traced_peak
 
 # Largest eigenvalues of the radius-r ball truncations of the simple random
 # walk on a rank-2 free group, computed from the radial reduction: the walk
@@ -189,6 +190,16 @@ def test_markov_operator_rejects_an_asymmetric_ball():
     ball = _corrupted_ball(Coset(0, IDENTITY), tuple(free_generator_set(2)), 2)
     with pytest.raises(ValueError, match="not symmetric"):
         markov_operator(ball)
+
+
+def test_kesten_profile_traced_peak_is_bounded():
+    # the radius-10 ball holds 118,097 nodes, and the solve reads only its
+    # images.  Building it with 9 MiB of temporaries per slice, and keeping
+    # its node and tail tables through the solve, peaked at 22.4 MiB.
+    profile, peak, _ = traced_peak(
+        lambda: kesten_profile(Coset(0, IDENTITY), free_generator_set(2), range(1, 11)))
+    assert profile.estimates[-1] == pytest.approx(0.8404454698, abs=1e-9)
+    assert peak <= 16 << 20
 
 
 def test_spectral_profile_validation():

@@ -2,7 +2,6 @@
 
 import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from cosetlab.freegroup import (
     w_mul,
 )
 
-from helpers import MAT_ID, matrix_image, random_closure_member, random_word
+from helpers import MAT_ID, matrix_image, random_closure_member, random_word, traced_peak
 
 
 def test_reduce_cancels_adjacent_inverses():
@@ -248,12 +247,7 @@ def test_parse_word_bounds_literal_size():
 
 
 def test_parse_word_reduces_runs_without_expanding_them():
-    tracemalloc.start()
-    try:
-        word = parse_word(f"x1^{MAX_WORD_LETTERS}")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    word, peak, _ = traced_peak(lambda: parse_word(f"x1^{MAX_WORD_LETTERS}"))
     assert word.letters == ((1, 1),) * MAX_WORD_LETTERS
     # a pointer per letter in the reduced prefix, then one in the word's
     # tuple: 16 MiB; a letter list built first took 80 MiB
