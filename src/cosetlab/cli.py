@@ -24,19 +24,20 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
+from ._lazy import lazy_attributes
 from .errors import ResourceLimitError
-from .freegroup import IDENTITY, format_gelement, format_word
-from .freegroup import parse_gelement, parse_literals, parse_word
-from .cosets import Coset
-from .spectral import (
-    GenSet,
-    delta_invariance_check,
-    free_generator_set,
-    kesten_profile,
-    reiter_search,
-)
-from .suite import SuiteFormatError, default_suite_path, run_suite
-from .finitegroup import congruence_group, separation_witness, special_linear_order
+
+# What the handlers call from the other modules.  Each name is imported on
+# first access and bound here as a module attribute, and the handlers look it
+# up here (`_uses`), so a subcommand loads only the modules it runs and calls
+# whatever `cli.<name>` holds when it runs.
+__getattr__ = lazy_attributes(globals(), {
+    "freegroup": "IDENTITY format_gelement format_word parse_gelement parse_literals parse_word",
+    "cosets": "Coset",
+    "spectral": "GenSet delta_invariance_check free_generator_set kesten_profile reiter_search",
+    "suite": "SuiteFormatError default_suite_path run_suite",
+    "finitegroup": "congruence_group separation_witness special_linear_order",
+})
 
 EXIT_PASS = 0
 EXIT_CLAIM = 1
@@ -89,6 +90,11 @@ def _parse_matrix(text: str):
     return tuple(rows)
 
 
+def _uses(names: str) -> list:
+    """The named dependencies, as attributes of this module."""
+    return [getattr(sys.modules[__name__], name) for name in names.split()]
+
+
 def _emit(report: dict, args) -> None:
     if not args.no_meta:
         report = dict(report)
@@ -106,6 +112,8 @@ def _emit(report: dict, args) -> None:
 
 
 def _cmd_eymard_verify(args) -> int:
+    parse_literals, parse_word, delta_invariance_check, format_word = _uses(
+        "parse_literals parse_word delta_invariance_check format_word")
     words = parse_literals(args.words, "word", parse_word)
     level, deviations = delta_invariance_check(words)
     ok = all(d == 0.0 for d in deviations.values())
@@ -123,6 +131,8 @@ def _cmd_kesten(args) -> int:
     if args.cap < 1:
         raise ValueError(f"node cap must be positive, got {args.cap}")
     radii = _parse_radii(args.radii, args.cap, args.k)
+    free_generator_set, kesten_profile, Coset, IDENTITY = _uses(
+        "free_generator_set kesten_profile Coset IDENTITY")
     gens = free_generator_set(args.k)
     profile = kesten_profile(Coset(0, IDENTITY), gens, radii, cap=args.cap)
     limit = math.sqrt(2 * args.k - 1) / args.k
@@ -146,6 +156,8 @@ def _cmd_kesten(args) -> int:
 
 
 def _cmd_reiter(args) -> int:
+    GenSet, parse_literals, parse_gelement, reiter_search, format_gelement = _uses(
+        "GenSet parse_literals parse_gelement reiter_search format_gelement")
     gens = GenSet.symmetrized(parse_literals(args.generators, "generator", parse_gelement))
     cert = reiter_search(gens, args.epsilon, max_window=args.window)
     N = cert.window_size
@@ -170,6 +182,8 @@ def _cmd_reiter(args) -> int:
 
 
 def _cmd_reciprocity(args) -> int:
+    default_suite_path, run_suite, SuiteFormatError = _uses(
+        "default_suite_path run_suite SuiteFormatError")
     path = Path(args.suite) if args.suite else default_suite_path()
     try:
         result = run_suite(path)
@@ -199,6 +213,8 @@ def _cmd_reciprocity(args) -> int:
 
 
 def _cmd_congruence(args) -> int:
+    congruence_group, special_linear_order, separation_witness = _uses(
+        "congruence_group special_linear_order separation_witness")
     if (args.n is None) != (args.m is None):
         raise ValueError("matrix size and modulus must be given together")
     if args.n is None and not args.witness:

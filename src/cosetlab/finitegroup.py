@@ -190,7 +190,7 @@ def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int):
         layer = op(layer[parent], gens[gen])
         rows.append(layer)
         inv_rows.append(layer_inv)
-    inv = [index[key] for key in _keys(np.concatenate(inv_rows))]
+    inv = [index[key] for block in inv_rows for key in _keys(block)]  # one layer's keys at once
     return np.concatenate(rows), index, inv
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -229,21 +228,20 @@ def _ritz(basis, images, xx: float, xmx: float) -> Optional[np.ndarray]:
     return scale * (ortho @ ritz)
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
+class SpectralProfile(NamedTuple("SpectralProfile", [
+        ("radii", Tuple[int, ...]), ("estimates", Tuple[float, ...]), ("generators", str)])):
     """Certified lower bounds on the Markov operator norm, per ball radius."""
 
-    radii: Tuple[int, ...]
-    estimates: Tuple[float, ...]
-    generators: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        for e in self.estimates:
+    def __new__(cls, radii, estimates, generators):
+        for e in estimates:
             if not (0.0 <= e <= 1.0):
                 raise ValueError(f"estimate {e} outside [0, 1]")
-        for a, b in zip(self.estimates, self.estimates[1:]):
+        for a, b in zip(estimates, estimates[1:]):
             if b < a:
                 raise ValueError(f"estimates decrease: {a} then {b}")
+        return super().__new__(cls, radii, estimates, generators)
 
     def rows(self) -> Tuple[Tuple[int, float], ...]:
         return tuple(zip(self.radii, self.estimates))

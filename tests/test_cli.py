@@ -394,9 +394,10 @@ _NUMPY_RUNS = [["reciprocity"], ["congruence", "2", "3"],
 
 @pytest.fixture(scope="module")
 def modules_loaded():
-    """Per run, in a fresh process: whether scipy was imported, and whether
+    """Per run, in a fresh process: whether scipy was imported, whether
     numpy ran (a lazily imported numpy sits in sys.modules unexecuted, so
-    look for its submodules)."""
+    look for its submodules), the cosetlab modules it imported (by their
+    names within the package), and whether dataclasses was imported."""
     env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
     probe = (
         "import contextlib, io, json, sys\n"
@@ -405,13 +406,16 @@ def modules_loaded():
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "    main(json.loads(sys.argv[1]))\n"
         "print(json.dumps(['scipy' in sys.modules, "
-        "any(m.startswith('numpy.') for m in sys.modules)]))\n"
+        "any(m.startswith('numpy.') for m in sys.modules), "
+        "[m[len('cosetlab.'):] for m in sys.modules if m.startswith('cosetlab.')], "
+        "'dataclasses' in sys.modules]))\n"
     )
     loaded = []
     for argv in _NUMPY_FREE_RUNS + _NUMPY_RUNS:
         got = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env,
                              capture_output=True, text=True, timeout=120)
-        loaded.append(tuple(json.loads(got.stdout)))
+        scipy, numpy, modules, dataclasses = json.loads(got.stdout)
+        loaded.append((scipy, numpy, set(modules), dataclasses))
     return loaded
 
 
@@ -421,12 +425,50 @@ def test_lazy_import_of_a_missing_module_fails_at_once():
 
 
 def test_no_subcommand_loads_scipy(modules_loaded):
-    assert not any(scipy for scipy, _ in modules_loaded)
+    assert not any(scipy for scipy, *_ in modules_loaded)
 
 
 def test_only_subcommands_that_build_arrays_run_numpy(modules_loaded):
-    numpy = [ran for _, ran in modules_loaded]
+    numpy = [ran for _, ran, *_ in modules_loaded]
     assert numpy == [False] * len(_NUMPY_FREE_RUNS) + [True] * len(_NUMPY_RUNS)
+
+
+def test_each_run_loads_only_the_modules_it_uses(modules_loaded):
+    runs = {tuple(argv): (modules, dataclasses) for argv, (_, _, modules, dataclasses)
+            in zip(_NUMPY_FREE_RUNS + _NUMPY_RUNS, modules_loaded)}
+    for argv in [("--version",), ("kesten", "-k", "two"), ("kesten", "--radii", "0")]:
+        modules, _ = runs[argv]
+        assert not modules & {"freegroup", "cosets", "spectral", "finitegroup",
+                              "characters", "suite"}, argv
+    for argv in [("reiter", "t", "--epsilon", "0.5"), ("eymard-verify", "x1")]:
+        modules, dataclasses = runs[argv]
+        assert "spectral" in modules and not dataclasses, argv
+        assert not modules & {"finitegroup", "characters", "suite"}, argv
+    modules, _ = runs["congruence", "2", "3"]
+    assert "finitegroup" in modules and not modules & {"spectral", "cosets"}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("kesten_profile", ["kesten", "-k", "1", "--radii", "1..3"]),
+    ("reiter_search", ["reiter", "t", "--epsilon", "0.5"]),
+    ("parse_gelement", ["reiter", "t", "--epsilon", "0.5"]),
+    ("parse_word", ["eymard-verify", "x1"]),
+    ("run_suite", ["reciprocity"]),
+    ("congruence_group", ["congruence", "2", "3"]),
+    ("_emit", ["congruence", "2", "3"]),
+])
+def test_handlers_call_what_the_cli_module_holds(capsys, monkeypatch, name, argv):
+    # perfbench/tracer.py times each layer by replacing these attributes of
+    # `cli`, so a handler must call whatever `cli.<name>` holds when it runs
+    real, calls = getattr(cli, name), []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recording)
+    assert run(capsys, *argv, "--no-meta")[0] == 0
+    assert calls
 
 
 @pytest.mark.parametrize("preset", list(itertools.product((None, "3"), repeat=3)))
