@@ -13,15 +13,16 @@ shifting the tail by s moves its letters and its level together, so the
 tail id is unchanged and only the letters of w are prepended.  A tail is
 hash-consed as (first letter code, rest id), with id 0 for the empty word,
 so prepending one letter is either a cancellation (the rest) or one lookup
-in the intern table.  Free reduction is confluent, so prepending the kept
+in the tail table.  Free reduction is confluent, so prepending the kept
 letters of w right to left gives exactly the canonical form of act().
 
-Balls are built one breadth-first layer at a time with numpy, imported
-lazily: Coset and act never run it.  The images of a layer's nodes are
-computed for all generators at once, in slices of a fixed number of
-(parent, generator) pairs; unseen images become new nodes, numbered by
-first occurrence in (parent, generator) order, which is the order of a
-node-by-node breadth-first search.
+Nodes and tails are each numbered by a _Table: an id -> key array and a
+sorted key -> id index.  Balls are built one breadth-first layer at a time
+with numpy, imported lazily: Coset and act never run it.  The images of a
+layer's nodes are computed for all generators at once, in slices of a fixed
+number of (parent, generator) pairs; unseen images become new nodes,
+numbered by first occurrence in (parent, generator) order, which is the
+order of a node-by-node breadth-first search.
 """
 
 from __future__ import annotations
@@ -141,31 +142,52 @@ def _merge(table, keys: np.ndarray, vals: np.ndarray):
 
 
 class _Table:
-    """Sorted int64 keys with int64 values, searched an array at a time.
-    Added keys are pending, in a second sorted table, until commit() merges
-    them in; rollback() forgets them.  A merge costs the size of the table,
-    so a ball commits once per layer, not once per slice."""
+    """Numbers distinct int64 keys 0, 1, 2, ... by first occurrence, from
+    the key given for id 0: keys[i] is the key of id i, and a sorted index
+    maps each key back to its id, an array of queries at a time.  Keys
+    numbered since the last commit() are pending, in a second sorted index,
+    until commit() merges them in; rollback() forgets them.  A merge costs
+    the size of the table, so a ball commits once per layer, not per slice."""
 
-    __slots__ = ("main", "new")
+    __slots__ = ("_keys", "main", "new")
 
-    def __init__(self):
-        self.main = (np.empty(0, np.int64),) * 2  # (keys, values)
+    def __init__(self, key: int):
+        self._keys = np.array([key], np.int64)  # grows by doubling
+        self.main = (self._keys.copy(), np.zeros(1, np.int64))  # (keys, ids)
         self.rollback()
 
     def __len__(self) -> int:
         return len(self.main[0]) + len(self.new[0])
 
+    @property
+    def keys(self) -> np.ndarray:
+        return self._keys[:len(self)]
+
     def get(self, q: np.ndarray) -> np.ndarray:
-        """The value of each key in q, or -1 where it is absent.  Sorted
+        """The id of each key in q, or -1 where it is absent.  Sorted
         queries walk a table once: several times faster than random ones."""
         out = _lookup(self.main, q)
         miss = np.flatnonzero(out < 0)
         out[miss] = _lookup(self.new, q[miss])
         return out
 
-    def add(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Insert sorted distinct keys that are not yet present."""
-        self.new = _merge(self.new, keys, vals)
+    def number(self, q: np.ndarray) -> np.ndarray:
+        """The id of each key in q; unseen keys are numbered len(self),
+        len(self) + 1, ... by first occurrence in q, and are pending."""
+        uniq, inv = np.unique(q, return_inverse=True)  # sorted: a fast lookup
+        ids = self.get(uniq)
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            first = np.full(len(uniq), len(q))
+            np.minimum.at(first, inv, np.arange(len(q)))
+            order = new[np.argsort(first[new])]
+            start, end = len(self), len(self) + len(new)
+            if end > len(self._keys):
+                self._keys = np.resize(self._keys, max(end, 2 * start))
+            self._keys[start:end] = uniq[order]
+            ids[order] = np.arange(start, end)
+            self.new = _merge(self.new, uniq[new], ids[new])
+        return ids[inv]
 
     def commit(self) -> None:
         if len(self.new[0]):
@@ -176,45 +198,17 @@ class _Table:
         self.new = (np.empty(0, np.int64),) * 2
 
 
-class _Tails:
-    """Hash-consed tails: id t > 0 is the word first[t] . rest[t], where
-    first[t] is a letter code; id 0 is the empty word.  The table maps each
-    key (first << 32 | rest) to its id; tails interned since its last
-    commit() are pending, so the images of a ball's outer layer, rolled
-    back, intern nothing for good.
-    """
-
-    def __init__(self):
-        self.first = np.full(1024, -1, np.int64)  # -1 at id 0 matches no code
-        self.rest = np.zeros(1024, np.int64)
-        self.table = _Table()
-
-    def prepend(self, cur: np.ndarray, code: np.ndarray) -> np.ndarray:
-        """Ids of the reduced words code[k] . cur[k]."""
-        out = self.rest[cur]
-        fresh = np.flatnonzero(self.first[cur] != code ^ 1)
-        out[fresh] = self._intern((code[fresh] << 32) | cur[fresh])
-        return out
-
-    def _intern(self, keys: np.ndarray) -> np.ndarray:
-        uniq, inv = np.unique(keys, return_inverse=True)
-        ids = self.table.get(uniq)
-        new = np.flatnonzero(ids < 0)
-        if len(new):
-            start = len(self.table) + 1
-            end = start + len(new)
-            if end > TAIL_LIMIT:
-                raise ValueError(
-                    f"orbit ball needs more than TAIL_LIMIT = {TAIL_LIMIT} interned tails")
-            if end > len(self.first):
-                grow = max(end, 2 * len(self.first)) - len(self.first)
-                self.first = np.concatenate([self.first, np.full(grow, -1, np.int64)])
-                self.rest = np.concatenate([self.rest, np.zeros(grow, np.int64)])
-            self.first[start:end] = uniq[new] >> 32
-            self.rest[start:end] = uniq[new] & _LOW
-            ids[new] = np.arange(start, end)
-            self.table.add(uniq[new], ids[new])
-        return ids[inv]
+def _prepend(tails: _Table, cur: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Ids of the reduced words code[k] . cur[k].  A tail's key is its first
+    letter code << 32 | the id of the rest; the empty word, id 0, has code
+    -1, which matches no letter."""
+    key = tails.keys[cur]
+    out = key & _LOW
+    fresh = np.flatnonzero(key >> 32 != code ^ 1)
+    out[fresh] = tails.number((code[fresh] << 32) | cur[fresh])
+    if len(tails) > TAIL_LIMIT:
+        raise ValueError(f"orbit ball needs more than TAIL_LIMIT = {TAIL_LIMIT} interned tails")
+    return out
 
 
 class OrbitBall:
@@ -223,8 +217,8 @@ class OrbitBall:
     Node 0 is the base coset; nodes appear in deterministic breadth-first
     order (parents in node order, generators in the given order), so nodes
     within distance r form a prefix of the node list for every r <= radius.
-    Each node is one key of the sorted node table, packing its level offset
-    from the base level and its interned tail id (see the module docstring).
+    Node i is id i of the node table, whose key packs its level offset from
+    the base level and its tail id (see the module docstring).
     gen_images is an int32 array with one row per generator; images landing
     outside the ball are boundary marks, stored as -1.
     """
@@ -242,26 +236,20 @@ class OrbitBall:
         return self._ends[-1]
 
     @cached_property
-    def _keys(self) -> np.ndarray:
-        """The node keys in node order."""
-        keys = np.empty(len(self), np.int64)
-        keys[self._nodes.main[1]] = self._nodes.main[0]
-        return keys
-
-    @cached_property
     def distances(self) -> np.ndarray:
         return np.repeat(np.arange(len(self._ends), dtype=np.int32),
                          np.diff(self._ends, prepend=0))
 
     def node(self, i: int) -> Coset:
-        key = int(self._keys[i])
+        key = int(self._nodes.keys[i])
         level = self.base.level + (key >> 32) - LEVEL_LIMIT
         letters = []
         t = key & _LOW
         while t:
-            code = int(self._tails.first[t])
+            key = int(self._tails.keys[t])
+            code = key >> 32
             letters.append((level + (code >> 1), -1 if code & 1 else 1))
-            t = int(self._tails.rest[t])
+            t = key & _LOW
         return Coset(level, Word(letters))
 
     def distance(self, i: int) -> int:
@@ -281,7 +269,7 @@ class OrbitBall:
             j = i - c.level
             if j >= INDEX_LIMIT:
                 return None
-            t = int(self._tails.table.get(np.array([(2 * j + (e < 0)) << 32 | t]))[0])
+            t = int(self._tails.get(np.array([(2 * j + (e < 0)) << 32 | t]))[0])
             if t < 0:
                 return None
         i = int(self._nodes.get(np.array([(offset + LEVEL_LIMIT) << 32 | t]))[0])
@@ -292,14 +280,11 @@ class OrbitBall:
         return self._ends[min(r, len(self._ends) - 1)] if r >= 0 else 0
 
 
-def _expand(tails, nodes, shifts, letters, keys, out, fresh):
-    """Images of the nodes with the given keys under every generator,
-    written to out (generators x nodes), in (parent, generator) order.
-
-    Unseen images become new nodes, numbered on from len(nodes) by first
-    occurrence, with their keys appended to fresh; without fresh (None)
-    they are -1 and interned tails are rolled back.
-    """
+def _expand(tails, nodes, shifts, letters, keys, out, number):
+    """Images of the nodes with the given keys under every generator, in
+    (parent, generator) order, numbered by number (nodes.number) and written
+    to out (generators x nodes).  On the outer layer number is None: unseen
+    images are -1, and the tails numbered for them are rolled back."""
     lvl = (keys >> 32) - LEVEL_LIMIT
     cur = np.repeat(keys & _LOW, len(shifts))
     for offset, negative in letters:
@@ -311,7 +296,7 @@ def _expand(tails, nodes, shifts, letters, keys, out, fresh):
         if len(at):
             code = code[at]
             _check_index(int(code.max()) >> 1)
-            cur[at] = tails.prepend(cur[at], code)
+            cur[at] = _prepend(tails, cur[at], code)
     key = (lvl[:, None] + shifts).ravel()
     if max(int(key.max()), -int(key.min())) >= LEVEL_LIMIT:
         raise ValueError(
@@ -320,19 +305,13 @@ def _expand(tails, nodes, shifts, letters, keys, out, fresh):
     key <<= 32
     key |= cur
     del cur
-    uniq, inv = np.unique(key, return_inverse=True)  # sorted: a fast lookup
-    ids = nodes.get(uniq)
-    if fresh is None:
-        tails.table.rollback()
+    if number is None:
+        uniq, inv = np.unique(key, return_inverse=True)  # sorted: a fast lookup
+        ids = nodes.get(uniq)[inv]
+        tails.rollback()
     else:
-        new = np.flatnonzero(ids < 0)
-        first = np.full(len(uniq), len(key))
-        np.minimum.at(first, inv, np.arange(len(key)))
-        order = new[np.argsort(first[new])]  # numbered by first occurrence
-        ids[order] = np.arange(len(nodes), len(nodes) + len(new))
-        fresh.append(uniq[order])
-        nodes.add(uniq[new], ids[new])
-    out[...] = ids[inv].reshape(out.shape[::-1]).T
+        ids = number(key)
+    out[...] = ids.reshape(out.shape[::-1]).T
 
 
 def orbit_ball(
@@ -375,19 +354,17 @@ def orbit_ball(
                 negative[k] = e < 0
         letters.append((offset, negative))
 
-    tails = _Tails()
+    tails = _Table(-1 << 32)  # the empty word
     tid = 0
     for (i, e) in reversed(base.tail.letters):
         j = i - base.level
         _check_index(j)
-        tid = int(tails.prepend(np.array([tid]), np.array([2 * j + (e < 0)]))[0])
-    tails.table.commit()
-    nodes = _Table()
-    layer = np.array([LEVEL_LIMIT << 32 | tid])  # the keys of the nodes at distance d
-    nodes.add(layer, np.array([0]))
+        tid = int(_prepend(tails, np.array([tid]), np.array([2 * j + (e < 0)]))[0])
+    tails.commit()
+    nodes = _Table(LEVEL_LIMIT << 32 | tid)  # the base coset
+    layer = nodes.keys  # the keys of the nodes at distance d
 
-    # Each layer's images go straight into one (generators x layer) block;
-    # only the layer being expanded and the one being found are held.
+    # Each layer's images go straight into one (generators x layer) block.
     ends, blocks = [], []
     step = max(1, SLICE_PAIRS // len(gens))
     while True:
@@ -398,20 +375,20 @@ def orbit_ball(
                 f"on the {found} nodes within radius {d} need {len(gens) * found} images")
         ends.append(found)
         block = np.empty((len(gens), len(layer)), np.int32)
-        fresh = [] if d < radius else None
+        number = nodes.number if d < radius else None
         for a in range(0, len(layer), step):
             _expand(tails, nodes, shifts, letters, layer[a:a + step],
-                    block[:, a:a + step], fresh)
+                    block[:, a:a + step], number)
             if len(nodes) > cap:
                 raise ResourceLimitError(
                     f"orbit ball exceeded node cap {cap}: {found} nodes found within "
                     f"radius {d}, and radius {d + 1} adds at least {len(nodes) - found} more")
         blocks.append(block)
         nodes.commit()
-        tails.table.commit()
+        tails.commit()
         if len(nodes) == found:
             break
-        layer = np.concatenate(fresh)
+        layer = nodes.keys[found:]
     return OrbitBall(base, gens, radius, tails, nodes, ends,
                      np.concatenate(blocks, axis=1))
 
@@ -440,7 +417,7 @@ def h_orbit_partition(
     for n in window:
         n = int(n)
         ball = orbit_ball(Coset(n, IDENTITY), gens, radius, cap=cap)
-        moved = np.flatnonzero(ball._keys >> 32 != LEVEL_LIMIT)
+        moved = np.flatnonzero(ball._nodes.keys >> 32 != LEVEL_LIMIT)
         if len(moved):
             raise RuntimeError(
                 f"shift-0 orbit left level {n}: "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from array import array
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -28,7 +29,7 @@ Perm = Tuple[int, ...]
 # Products formed at once during closure; bounds the temporaries of a layer.
 SLICE_PRODUCTS = 1 << 16
 # Bytes a closure may hold, whatever its cap: the element and inverse rows,
-# plus KEY_BYTES per key of the row index and of the next layer (a bytes
+# plus KEY_BYTES per key of the row index, the next layer's included (a bytes
 # object, an int and a dict slot; SL(3, Z/5) traces 147 bytes per element).
 CLOSURE_BYTES, KEY_BYTES = 64 << 20, 128
 
@@ -147,12 +148,12 @@ def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int):
 
     Each layer multiplies every element of the previous layer by every
     generator; new elements are numbered by first occurrence in (parent,
-    generator) order, which is the order of an element-by-element walk.
-    Inverses follow the same products: (x g)^-1 = g^-1 x^-1.  Products are
-    formed in slices of SLICE_PRODUCTS, and the cap and CLOSURE_BYTES are
-    checked after each slice, before the layer is committed, so a layer
-    past either is never built.  Returns (element rows in discovery order,
-    key -> index map, inverse index list).
+    generator) order as they are found, the order of an element-by-element
+    walk.  Inverses follow the same products: (x g)^-1 = g^-1 x^-1.
+    Products are formed in slices of SLICE_PRODUCTS, and the cap and
+    CLOSURE_BYTES are checked after each slice, before the layer's rows are
+    formed, so a layer past either is never built.  Returns (element rows
+    in discovery order, key -> index map, inverse index list).
     """
     first = {}
     for j, key in enumerate(_keys(gens)):
@@ -164,28 +165,27 @@ def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int):
     rows, inv_rows = [identity], [identity]
     step = max(1, SLICE_PRODUCTS // max(1, len(gens)))
     while len(layer) and len(gens):
-        fresh = {}
+        found, fresh = len(index), array("q")  # the product position of each new element
         for lo in range(0, len(layer), step):
             products = op(layer[lo:lo + step, None], gens[None])
             keys = _keys(products.reshape((-1,) + identity.shape[1:]))
             for pos, key in enumerate(keys, lo * len(gens)):
-                if key not in index and key not in fresh:
-                    fresh[key] = pos
-            if len(index) + len(fresh) > cap:
+                if key not in index:
+                    index[key] = len(index)
+                    fresh.append(pos)
+            if len(index) > cap:
                 raise ResourceLimitError(
-                    f"group order exceeds cap {cap}: {len(index)} elements "
+                    f"group order exceeds cap {cap}: {found} elements "
                     f"found and the next breadth-first layer adds at least "
                     f"{len(fresh)} more"
                 )
-            held = len(index) * (2 * identity.nbytes + KEY_BYTES) + len(fresh) * KEY_BYTES
+            held = found * 2 * identity.nbytes + len(index) * KEY_BYTES
             if held > CLOSURE_BYTES:
                 raise ResourceLimitError(
                     f"group closure exceeds CLOSURE_BYTES = {CLOSURE_BYTES} before the "
-                    f"element cap {cap}: {len(index)} elements found and {len(fresh)} "
+                    f"element cap {cap}: {found} elements found and {len(fresh)} "
                     f"of the next layer hold about {held} bytes")
-        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-        pos = np.fromiter(fresh.values(), np.intp, len(fresh))
-        parent, gen = np.divmod(pos, len(gens))
+        parent, gen = np.divmod(np.frombuffer(fresh, np.int64), len(gens))
         layer_inv = op(gen_inv[gen], layer_inv[parent])
         layer = op(layer[parent], gens[gen])
         rows.append(layer)

@@ -36,9 +36,10 @@ np = lazy_import("numpy")
 
 class GenSet:
     """A finite nonempty multiset of group elements, closed under inverse
-    with multiplicity."""
+    with multiplicity: partner[s] pairs copy s with a copy of its inverse,
+    and an unpaired identity with itself."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "partner")
 
     def __init__(self, elements: Iterable[GElement]):
         elems = tuple(elements)
@@ -47,14 +48,21 @@ class GenSet:
         for g in elems:
             if not isinstance(g, GElement):
                 raise TypeError(f"expected GElement, got {type(g).__name__}")
-        counts = Counter(elems)
-        for g, c in counts.items():
-            if counts[g_inv(g)] != c:
+        partner, waiting = list(range(len(elems))), {}
+        for s, g in enumerate(elems):
+            if waiting.get(g_inv(g)):
+                partner[s] = t = waiting[g_inv(g)].pop()
+                partner[t] = s
+            else:
+                waiting.setdefault(g, []).append(s)
+        for g, unpaired in waiting.items():
+            if unpaired and g_inv(g) != g:
                 raise ValueError(
                     f"generator multiset is not symmetric: {format_gelement(g)} "
-                    f"occurs {c} times, its inverse {counts[g_inv(g)]}"
+                    f"occurs {elems.count(g)} times, its inverse {elems.count(g_inv(g))}"
                 )
         self.elements = elems
+        self.partner = tuple(partner)
 
     @classmethod
     def symmetrized(cls, elements: Iterable[GElement]) -> "GenSet":
@@ -131,17 +139,11 @@ def markov_operator(ball: OrbitBall) -> MarkovOperator:
 GAIN, MAX_STEPS, RANK_FLOOR = 1e-13, 10_000, 1e-10
 
 
-def _edges(generators, images) -> Tuple[np.ndarray, np.ndarray]:
+def _edges(gens: GenSet, images) -> Tuple[np.ndarray, np.ndarray]:
     """The (node, image) pairs of the generator images inside the ball,
-    sorted by node, once a copy of each generator's inverse is checked to
-    undo it on each: then the walk operator is symmetric at every radius."""
-    partner, waiting = np.arange(len(generators)), {}
-    for s, g in enumerate(generators):
-        if waiting.get(g_inv(g)):
-            partner[s] = t = waiting[g_inv(g)].pop()
-            partner[t] = s
-        else:
-            waiting.setdefault(g, []).append(s)
+    sorted by node, once each generator's partner is checked to undo it on
+    each: then the walk operator is symmetric at every radius."""
+    generators, partner = gens.elements, gens.partner
     for s, row in enumerate(images):
         at = np.flatnonzero(row >= 0)
         if (images[partner[s], row[at]] != at).any():
@@ -279,7 +281,7 @@ def kesten_profile(
     ball = orbit_ball(base, gens.elements, radii[-1], cap=cap)
     images, sizes = ball.gen_images, [ball.prefix_size(r) for r in radii]
     del ball  # the solver reads only the images: free the node and tail tables
-    edges = _edges(gens.elements, images)
+    edges = _edges(gens, images)
     del images
     estimates, x = [], np.ones(1)  # the base node alone
     for n in sizes:

@@ -3,6 +3,7 @@
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,10 +227,12 @@ def ball_inputs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(ball_inputs())
-def test_orbit_ball_matches_reference_bfs(inputs):
+@given(ball_inputs(), st.sampled_from([1, 5, cosets.SLICE_PAIRS]))
+def test_orbit_ball_matches_reference_bfs(inputs, slice_pairs):
+    # small slices number one layer's nodes and tails across many slices
     base, gens, radius = inputs
-    ball = orbit_ball(base, gens, radius)
+    with mock.patch.object(cosets, "SLICE_PAIRS", slice_pairs):
+        ball = orbit_ball(base, gens, radius)
     nodes, dist, images = reference_ball(base, gens, radius)
     assert [ball.node(i) for i in range(len(ball))] == nodes
     assert ball.distances.tolist() == dist
@@ -248,6 +251,17 @@ def test_orbit_ball_rejects_unpackable_codes():
     t = parse_gelement(f"t^{2**40}")
     with pytest.raises(ValueError, match="LEVEL_LIMIT"):
         orbit_ball(Coset(0, IDENTITY), [t, g_inv(t)], 1)
+
+
+def test_orbit_ball_checks_the_tail_limit(monkeypatch):
+    # radius 2 of the rank-2 free orbit numbers the 1 + 4 + 12 + 36 tails of
+    # radius 3 before it rolls back the outer 36
+    gens = tuple(free_generator_set(2))
+    monkeypatch.setattr(cosets, "TAIL_LIMIT", 53)
+    assert len(orbit_ball(Coset(0, IDENTITY), gens, 2)) == 17
+    monkeypatch.setattr(cosets, "TAIL_LIMIT", 52)
+    with pytest.raises(ValueError, match="TAIL_LIMIT = 52"):
+        orbit_ball(Coset(0, IDENTITY), gens, 2)
 
 
 def test_orbit_ball_huge_radius_stops_at_cap_or_orbit_end():

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from cosetlab import spectral
 from cosetlab.cosets import Coset, orbit_ball
 from cosetlab.errors import ResourceLimitError
-from cosetlab.freegroup import GElement, IDENTITY, parse_gelement, parse_word, reduce
+from cosetlab.freegroup import (
+    G_IDENTITY, GElement, IDENTITY, parse_gelement, parse_word, reduce,
+)
 from cosetlab.spectral import (
     GenSet,
     ReiterCertificate,
@@ -66,6 +68,13 @@ def test_genset_multiset_symmetry():
     GenSet([a, a, b, b])
     with pytest.raises(ValueError):
         GenSet([a, a, b])
+
+
+def test_genset_pairs_each_copy_with_an_inverse():
+    a, b = parse_gelement("x1"), parse_gelement("x1^-1")
+    assert GenSet([a, a, b, b]).partner == (3, 2, 1, 0)
+    # the identity pairs with itself; an odd copy is its own partner
+    assert GenSet([G_IDENTITY, G_IDENTITY, G_IDENTITY, b, a]).partner == (1, 0, 2, 4, 3)
 
 
 def test_free_generator_set():
@@ -163,6 +172,8 @@ def kesten_inputs(draw):
 @example((Coset(0, IDENTITY), free_generator_set(1), (0, 1, 2, 7, 12)))  # bipartite paths
 @example((Coset(0, IDENTITY), GenSet.symmetrized([parse_gelement("t"), parse_gelement("x0")]),
           (0, 1, 2, 3, 4)))
+@example((Coset(0, IDENTITY), GenSet.symmetrized([G_IDENTITY, parse_gelement("x1")]),
+          (0, 1, 3)))  # the identity is its own partner
 def test_kesten_profile_matches_dense_eigenvalues(inputs):
     base, gens, radii = inputs
     profile = kesten_profile(base, gens, radii)
