@@ -16,13 +16,13 @@ so prepending one letter is either a cancellation (the rest) or one lookup
 in the tail table.  Free reduction is confluent, so prepending the kept
 letters of w right to left gives exactly the canonical form of act().
 
-Nodes and tails are each numbered by a _Table: an id -> key array and a
-sorted key -> id index.  Balls are built one breadth-first layer at a time
-with numpy, imported lazily: Coset and act never run it.  The images of a
-layer's nodes are computed for all generators at once, in slices of a fixed
-number of (parent, generator) pairs; unseen images become new nodes,
-numbered by first occurrence in (parent, generator) order, which is the
-order of a node-by-node breadth-first search.
+Nodes and tails are each numbered by an int64 _Table (see _table).  Balls
+are built one breadth-first layer at a time with numpy, imported lazily:
+Coset and act never run it.  The images of a layer's nodes are computed for
+all generators at once, in slices of a fixed number of (parent, generator)
+pairs; unseen images become new nodes, numbered by first occurrence in
+(parent, generator) order, which is the order of a node-by-node
+breadth-first search.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence
 
 from ._lazy import lazy_import
+from ._table import _Table
 from .errors import ResourceLimitError
 from .freegroup import (
     GElement,
@@ -124,78 +125,6 @@ def _check_index(jmax: int) -> None:
             f"relative letter index {jmax} exceeds the packing limit "
             f"INDEX_LIMIT = {INDEX_LIMIT}"
         )
-
-
-def _lookup(table, q: np.ndarray) -> np.ndarray:
-    keys, vals = table
-    out = np.full(len(q), -1, np.int64)
-    if len(keys):
-        pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-        hit = keys[pos] == q
-        out[hit] = vals[pos[hit]]
-    return out
-
-
-def _merge(table, keys: np.ndarray, vals: np.ndarray):
-    pos = np.searchsorted(table[0], keys)
-    return np.insert(table[0], pos, keys), np.insert(table[1], pos, vals)
-
-
-class _Table:
-    """Numbers distinct int64 keys 0, 1, 2, ... by first occurrence, from
-    the key given for id 0: keys[i] is the key of id i, and a sorted index
-    maps each key back to its id, an array of queries at a time.  Keys
-    numbered since the last commit() are pending, in a second sorted index,
-    until commit() merges them in; rollback() forgets them.  A merge costs
-    the size of the table, so a ball commits once per layer, not per slice."""
-
-    __slots__ = ("_keys", "main", "new")
-
-    def __init__(self, key: int):
-        self._keys = np.array([key], np.int64)  # grows by doubling
-        self.main = (self._keys.copy(), np.zeros(1, np.int64))  # (keys, ids)
-        self.rollback()
-
-    def __len__(self) -> int:
-        return len(self.main[0]) + len(self.new[0])
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self._keys[:len(self)]
-
-    def get(self, q: np.ndarray) -> np.ndarray:
-        """The id of each key in q, or -1 where it is absent.  Sorted
-        queries walk a table once: several times faster than random ones."""
-        out = _lookup(self.main, q)
-        miss = np.flatnonzero(out < 0)
-        out[miss] = _lookup(self.new, q[miss])
-        return out
-
-    def number(self, q: np.ndarray) -> np.ndarray:
-        """The id of each key in q; unseen keys are numbered len(self),
-        len(self) + 1, ... by first occurrence in q, and are pending."""
-        uniq, inv = np.unique(q, return_inverse=True)  # sorted: a fast lookup
-        ids = self.get(uniq)
-        new = np.flatnonzero(ids < 0)
-        if len(new):
-            first = np.full(len(uniq), len(q))
-            np.minimum.at(first, inv, np.arange(len(q)))
-            order = new[np.argsort(first[new])]
-            start, end = len(self), len(self) + len(new)
-            if end > len(self._keys):
-                self._keys = np.resize(self._keys, max(end, 2 * start))
-            self._keys[start:end] = uniq[order]
-            ids[order] = np.arange(start, end)
-            self.new = _merge(self.new, uniq[new], ids[new])
-        return ids[inv]
-
-    def commit(self) -> None:
-        if len(self.new[0]):
-            self.main = _merge(self.main, *self.new)
-            self.rollback()
-
-    def rollback(self) -> None:
-        self.new = (np.empty(0, np.int64),) * 2
 
 
 def _prepend(tails: _Table, cur: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -354,14 +283,14 @@ def orbit_ball(
                 negative[k] = e < 0
         letters.append((offset, negative))
 
-    tails = _Table(-1 << 32)  # the empty word
+    tails = _Table(np.array([-1 << 32], np.int64))  # the empty word
     tid = 0
     for (i, e) in reversed(base.tail.letters):
         j = i - base.level
         _check_index(j)
         tid = int(_prepend(tails, np.array([tid]), np.array([2 * j + (e < 0)]))[0])
     tails.commit()
-    nodes = _Table(LEVEL_LIMIT << 32 | tid)  # the base coset
+    nodes = _Table(np.array([LEVEL_LIMIT << 32 | tid], np.int64))  # the base coset
     layer = nodes.keys  # the keys of the nodes at distance d
 
     # Each layer's images go straight into one (generators x layer) block.

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 import random
 import re
-from array import array
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._lazy import lazy_import
+from ._table import _Table
 from .errors import ResourceLimitError
 
 np = lazy_import("numpy")
@@ -28,10 +28,10 @@ Perm = Tuple[int, ...]
 
 # Products formed at once during closure; bounds the temporaries of a layer.
 SLICE_PRODUCTS = 1 << 16
-# Bytes a closure may hold, whatever its cap: the element and inverse rows,
-# plus KEY_BYTES per key of the row index, the next layer's included (a bytes
-# object, an int and a dict slot; SL(3, Z/5) traces 147 bytes per element).
-CLOSURE_BYTES, KEY_BYTES = 64 << 20, 128
+# Bytes a closure may hold, whatever its cap, measured after each slice: the
+# element and inverse rows of every element numbered so far, the next
+# layer's included, plus the arrays of its row table.
+CLOSURE_BYTES = 64 << 20
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -115,14 +115,16 @@ def _batch_op(kind: str, modulus: Optional[int]):
     return lambda a, b: np.matmul(a, b) % modulus
 
 
-def _keys(rows: np.ndarray) -> list:
-    """One hashable key per element of a stack: its bytes, or for object
-    entries the tuple of its entries."""
+def _keys(rows: np.ndarray, modulus: Optional[int]) -> np.ndarray:
+    """One fixed-width key per element of a stack: the bytes of its entries,
+    as an S view.  Object entries (moduli past 64 bits) take the byte width
+    of modulus - 1 each, so every key of a group has the same width."""
     flat = np.ascontiguousarray(rows).reshape(len(rows), math.prod(rows.shape[1:]))
     if flat.dtype == object:
-        return list(map(tuple, flat.tolist()))
-    row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
-    return flat.view(row).ravel().tolist()
+        width = ((modulus - 1).bit_length() + 7) // 8
+        flat = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in flat.flat),
+                             np.uint8).reshape(len(flat), flat.shape[1] * width)
+    return flat.view(f"S{flat.shape[1] * flat.itemsize}").ravel()
 
 
 def _generator_inverses(gens: np.ndarray, identity: np.ndarray, op, cap: int):
@@ -142,7 +144,7 @@ def _generator_inverses(gens: np.ndarray, identity: np.ndarray, op, cap: int):
     return inv
 
 
-def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int):
+def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int, modulus):
     """Deterministic breadth-first closure under right multiplication, one
     layer at a time.
 
@@ -153,45 +155,43 @@ def _bfs_closure(gens: np.ndarray, identity: np.ndarray, op, cap: int):
     Products are formed in slices of SLICE_PRODUCTS, and the cap and
     CLOSURE_BYTES are checked after each slice, before the layer's rows are
     formed, so a layer past either is never built.  Returns (element rows
-    in discovery order, key -> index map, inverse index list).
+    in discovery order, their _Table of row keys, inverse index list).
     """
-    first = {}
-    for j, key in enumerate(_keys(gens)):
-        first.setdefault(key, j)
-    gens = gens[list(first.values())]
+    gens = gens[np.sort(np.unique(_keys(gens, modulus), return_index=True)[1])]
     gen_inv = _generator_inverses(gens, identity, op, cap)
-    index = {_keys(identity)[0]: 0}
+    index = _Table(_keys(identity, modulus))
     layer = layer_inv = identity
     rows, inv_rows = [identity], [identity]
     step = max(1, SLICE_PRODUCTS // max(1, len(gens)))
     while len(layer) and len(gens):
-        found, fresh = len(index), array("q")  # the product position of each new element
+        found, fresh = len(index), []  # the product positions of the new elements
         for lo in range(0, len(layer), step):
             products = op(layer[lo:lo + step, None], gens[None])
-            keys = _keys(products.reshape((-1,) + identity.shape[1:]))
-            for pos, key in enumerate(keys, lo * len(gens)):
-                if key not in index:
-                    index[key] = len(index)
-                    fresh.append(pos)
+            start = len(index)
+            ids = index.number(_keys(products.reshape((-1,) + identity.shape[1:]), modulus))
+            new = np.flatnonzero(ids >= start)  # ids rise by one at each first occurrence
+            fresh.append(lo * len(gens) + new[np.diff(np.maximum.accumulate(ids[new]),
+                                                      prepend=start - 1) > 0])
             if len(index) > cap:
                 raise ResourceLimitError(
                     f"group order exceeds cap {cap}: {found} elements "
                     f"found and the next breadth-first layer adds at least "
-                    f"{len(fresh)} more"
+                    f"{len(index) - found} more"
                 )
-            held = found * 2 * identity.nbytes + len(index) * KEY_BYTES
+            held = len(index) * 2 * identity.nbytes + index.nbytes
             if held > CLOSURE_BYTES:
                 raise ResourceLimitError(
                     f"group closure exceeds CLOSURE_BYTES = {CLOSURE_BYTES} before the "
-                    f"element cap {cap}: {found} elements found and {len(fresh)} "
+                    f"element cap {cap}: {found} elements found and {len(index) - found} "
                     f"of the next layer hold about {held} bytes")
-        parent, gen = np.divmod(np.frombuffer(fresh, np.int64), len(gens))
+        index.commit()
+        parent, gen = np.divmod(np.concatenate(fresh), len(gens))
         layer_inv = op(gen_inv[gen], layer_inv[parent])
         layer = op(layer[parent], gens[gen])
         rows.append(layer)
         inv_rows.append(layer_inv)
-    inv = [index[key] for block in inv_rows for key in _keys(block)]  # one layer's keys at once
-    return np.concatenate(rows), index, inv
+    inv = index.get(_keys(np.concatenate(inv_rows), modulus))
+    return np.concatenate(rows), index, inv.tolist()
 
 
 class ConjugacyClass(NamedTuple):
@@ -210,14 +210,13 @@ class FiniteGroup:
     Elements are stored as one array of rows (shape (n, d) for
     permutations, (n, d, d) for matrices) and multiplied in batches; the
     tuple values in `elements` are the public view of the same rows, built
-    on first use.
+    on first use.  The rows are the closure of the generator rows gens.
     """
 
-    def __init__(self, rows, row_index, inv, kind, degree, modulus, generators):
-        self._rows = rows
-        self._row_index = row_index
+    def __init__(self, gens, identity, kind, degree, modulus, generators, cap):
         self._op = _batch_op(kind, modulus)
-        self._inv = list(inv)
+        self._rows, self._row_index, self._inv = _bfs_closure(
+            gens, identity, self._op, cap, modulus)
         self.kind = kind
         self.degree = degree
         self.modulus = modulus
@@ -258,9 +257,11 @@ class FiniteGroup:
         return value in self._index
 
     def _find(self, rows: np.ndarray) -> np.ndarray:
-        """Element indices of a stack of rows that lie in the group."""
-        return np.fromiter(map(self._row_index.__getitem__, _keys(rows)),
-                           np.intp, len(rows))
+        """Element indices of a stack of rows, or KeyError if one is absent."""
+        ids = self._row_index.get(_keys(rows, self.modulus))
+        if (ids < 0).any():
+            raise KeyError("a row is not an element of this group")
+        return ids
 
     def mul(self, i: int, j: int) -> int:
         return int(self._find(self._op(self._rows[[i]], self._rows[[j]]))[0])
@@ -324,19 +325,11 @@ class Subgroup(FiniteGroup):
     """A subgroup enumerated inside a parent group, with left-coset data."""
 
     def __init__(self, parent: FiniteGroup, gen_values):
-        for v in gen_values:
-            if not parent.contains_value(v):
-                raise ValueError(f"generator {v!r} is not in the parent group")
         gens = parent._rows[[parent.index_of(v) for v in gen_values]]
-        rows, row_index, inv = _bfs_closure(
-            gens, parent._rows[:1], parent._op, cap=len(parent) + 1
-        )
-        super().__init__(
-            rows, row_index, inv, parent.kind, parent.degree, parent.modulus,
-            tuple(gen_values),
-        )
+        super().__init__(gens, parent._rows[:1], parent.kind, parent.degree,
+                         parent.modulus, tuple(gen_values), len(parent) + 1)
         self.parent = parent
-        self.parent_index = tuple(parent._find(rows).tolist())
+        self.parent_index = tuple(parent._find(self._rows).tolist())
 
     @property
     def index_in_parent(self) -> int:
@@ -400,11 +393,8 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
                 raise ValueError(f"generator {rows!r} is not invertible mod {m}")
         # holds every unreduced sum of products; object (Python ints) past 64 bits
         dtype = np.min_scalar_type(n * (m - 1) ** 2)
-        rows, row_index, inv = _bfs_closure(
-            np.array(mats, dtype=dtype).reshape(-1, n, n),
-            np.eye(n, dtype=dtype)[None], _batch_op("matrix", m), cap,
-        )
-        return FiniteGroup(rows, row_index, inv, "matrix", n, m, mats)
+        return FiniteGroup(np.array(mats, dtype=dtype).reshape(-1, n, n),
+                           np.eye(n, dtype=dtype)[None], "matrix", n, m, mats, cap)
 
     points = (max(map(max, _parse_cycle_string(g)), default=-1) + 1 if isinstance(g, str)
               else len(g) for g in gens)
@@ -414,11 +404,8 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
         if sorted(p) != list(range(deg)):
             raise ValueError(f"{p!r} is not a permutation")
     dtype = np.min_scalar_type(deg - 1)
-    rows, row_index, inv = _bfs_closure(
-        np.array(perms, dtype=dtype).reshape(-1, deg),
-        np.arange(deg, dtype=dtype)[None], _batch_op("perm", None), cap,
-    )
-    return FiniteGroup(rows, row_index, inv, "perm", deg, None, perms)
+    return FiniteGroup(np.array(perms, dtype=dtype).reshape(-1, deg),
+                       np.arange(deg, dtype=dtype)[None], "perm", deg, None, perms, cap)
 
 
 def congruence_group(n: int, m: int, cap: int = 10**6) -> FiniteGroup:

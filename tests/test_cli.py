@@ -652,6 +652,17 @@ def test_congruence_stops_at_the_closure_byte_budget():
     assert maxrss_kb < 170 * 1024
 
 
+def test_congruence_fits_sl2_mod_97_under_the_closure_byte_budget():
+    # |SL(2, Z/97)| = 912,576.  Keyed by a dict of row bytes, the closure
+    # counted about 128 bytes a key and stopped at CLOSURE_BYTES; numbered
+    # in a table of 8-byte row keys it finishes, at about 140 MB.  Exit 0
+    # means order_bfs matched order_formula.
+    code, err, maxrss_kb = child_peak_rss(
+        [sys.executable, "-m", "cosetlab", "congruence", "2", "97", "--no-meta"], timeout=60)
+    assert code == 0, err
+    assert maxrss_kb < 200 * 1024
+
+
 def _elementary_product(n, steps):
     """The product of the elementary matrices I + c E_ij (i != j) in steps:
     an integer matrix of determinant 1."""
