@@ -296,7 +296,9 @@ class FiniteGroup:
         for i in range(len(self)):
             if class_of[i] >= 0:
                 continue
-            members = np.unique(self._find(self._op(self._op(a, a[i:i + 1]), a_inv)))
+            ids = self._find(self._op(self._op(a, a[i:i + 1]), a_inv))
+            # sorted and distinct; np.unique would import numpy.ma
+            members = np.flatnonzero(np.bincount(ids, minlength=len(self)))
             class_of[members] = len(classes)
             classes.append(ConjugacyClass(i, tuple(members.tolist())))
         return tuple(classes), class_of.tolist()

@@ -2,7 +2,8 @@
 
 Markov averaging operators of symmetric generator multisets, certified
 spectral-radius lower bounds by a matrix-free LOBPCG on a ball's generator
-images, exact invariance checks for single basis vectors, and
+images (preconditioned by the exact factor of I - M wherever the ball is a
+tree apart from loops), exact invariance checks for single basis vectors, and
 almost-invariant (Reiter) vectors: uniform on a window of cosets along the
 shift direction, with their deviations in closed form as exact rationals
 2m/N.  numpy, imported lazily, runs only for the solve and the operator.
@@ -139,10 +140,12 @@ def markov_operator(ball: OrbitBall) -> MarkovOperator:
 GAIN, MAX_STEPS, RANK_FLOOR = 1e-13, 10_000, 1e-10
 
 
-def _edges(gens: GenSet, images) -> Tuple[np.ndarray, np.ndarray]:
-    """The (node, image) pairs of the generator images inside the ball,
-    sorted by node, once each generator's partner is checked to undo it on
-    each: then the walk operator is symmetric at every radius."""
+def _edges(gens: GenSet, images):
+    """The walk on the ball as its breadth-first tree plus cross edges, once
+    each generator's partner is checked to undo it on each node: each node's
+    parent (its least neighbour, one layer in; the base is its own), the
+    numbers of generators joining it to its parent and fixing it, and the
+    (node, image) pairs of every other in-ball image."""
     generators, partner = gens.elements, gens.partner
     for s, row in enumerate(images):
         at = np.flatnonzero(row >= 0)
@@ -150,20 +153,64 @@ def _edges(gens: GenSet, images) -> Tuple[np.ndarray, np.ndarray]:
             raise ValueError(
                 f"operator is not symmetric: {format_gelement(generators[partner[s]])} "
                 f"does not undo {format_gelement(generators[s])} on the ball")
-    inside = (images >= 0).T  # node-major, as the pairs are sorted
-    nodes = np.repeat(np.arange(len(inside)), inside.sum(axis=1))
-    return nodes, images.T[inside].astype(np.intp)
+    node = np.arange(images.shape[1])
+    parent = np.where(images >= 0, images, len(node)).min(axis=0).astype(np.intp)
+    parent[0] = 0
+    count = np.min_scalar_type(len(images))
+    joins, loops = ((images == a).sum(0, count) for a in (parent, node))
+    joins[0] = 0  # it counted the base's loops: the base is its own parent
+    gen, rows = np.nonzero((images >= 0) & (images != parent) & (images != node))
+    cols = images[gen, rows].astype(np.intp)
+    keep = parent[cols] != rows  # nor a child
+    return parent, joins, loops, (rows[keep], cols[keep])
 
 
-def _walk(edges: Tuple[np.ndarray, np.ndarray], n: int, size: int):
+def _walk(form, n: int, size: int):
     """v -> Mv for the walk of size generators compressed to the first n
-    nodes: (Mv)_i sums v over the images of node i in the prefix, over size."""
-    m = int(np.searchsorted(edges[0], n))
-    rows, cols = edges[0][:m], edges[1][:m]
-    if not (cols < n).all():
-        rows, cols = rows[cols < n], cols[cols < n]
-    # bincount counts in int64 when there are no pairs at all
-    return lambda v: np.bincount(rows, v[cols], n).astype(float, copy=False) / size
+    nodes, from its form in _edges: over size, a node's sum over its parent,
+    its children, itself and its cross images in the prefix."""
+    parent, joins, loops = (a[:n] for a in form[:3])  # a prefix holds its parents
+    keep = (form[3][0] < n) & (form[3][1] < n)
+    rows, cols, fixed = form[3][0][keep], form[3][1][keep], loops.any()
+
+    def apply(v):
+        w = np.bincount(parent, joins * v, n)
+        w += joins * v[parent]
+        if fixed:  # a pass over n saved where no generator fixes a node
+            w += loops * v
+        if len(rows):  # bincount with no pairs counts in int64
+            w += np.bincount(rows, v[cols], n)
+        w /= size
+        return w
+    return apply
+
+
+def _tree_solve(form, ends: Sequence[int], size: int):
+    """r -> (I - M)^-1 r, in place, for M the walk of size generators on the
+    prefix of ends[-1] nodes, ends[d] of them within distance d: the exact
+    factor of I - M on a tree apart from loops, eliminated from the outer
+    layer inward, so with no fill-in.  None if the prefix has a cross edge
+    or a pivot is <= 0 (then I - M is not positive definite)."""
+    parent, joins, loops, (rows, cols) = form
+    n = ends[-1]
+    if ((rows < n) & (cols < n)).any():
+        return None
+    # link[i]: M's entry between node i and its parent, then that over i's pivot
+    link, pivot = joins[:n] / size, 1.0 - loops[:n] / size
+    layers = [(ends[d - 1], ends[d]) for d in range(len(ends) - 1, 0, -1)]
+    for lo, hi in layers:  # a layer's pivots are final once its children are out
+        link[lo:hi] /= pivot[lo:hi]
+        pivot[:lo] -= np.bincount(parent[lo:hi], link[lo:hi] * joins[lo:hi] / size, lo)
+    if not (pivot > 0.0).all():  # only the base's can be: any other subtree leaks
+        return None
+
+    def solve(r):
+        for lo, hi in layers:  # fold each layer into its parents, outer first
+            r[:lo] += np.bincount(parent[lo:hi], link[lo:hi] * r[lo:hi], lo)
+        r /= pivot
+        for lo, hi in reversed(layers):  # then each layer from its parents
+            r[lo:hi] += link[lo:hi] * r[parent[lo:hi]]
+    return solve
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -171,10 +218,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
-def _top_eigenpair(apply, x: np.ndarray) -> Tuple[float, np.ndarray]:
+def _top_eigenpair(apply, x: np.ndarray, precondition) -> Tuple[float, np.ndarray]:
     """Largest eigenvalue of the symmetric operator apply, by single-vector
     LOBPCG (Knyazev 2001) from x (updated in place): Rayleigh-Ritz on
-    span{x, r, p}, with r the residual of x and p the previous step.
+    span{x, r, p}, with r the residual of x and p the previous step.  Unless
+    precondition is None, it maps r in place to (I - M)^-1 r, or to an
+    approximation of it: that steers the search and never enters the bound.
 
     Returns (x.Mx / x.x, x) for the best iterate x, with Mx a fresh product.
     A step is kept only if it raises that quotient, so the 3x3 arithmetic
@@ -192,6 +241,8 @@ def _top_eigenpair(apply, x: np.ndarray) -> Tuple[float, np.ndarray]:
         best = rho
         r = np.multiply(x, -rho)
         r += mx
+        if precondition is not None:
+            precondition(r)
         mr = apply(r)
         c = _ritz((x, r, p)[:k], (mx, mr, mp)[:k], xx, xmx)
         if c is None and k == 3:  # p has fallen into span{x, r}: drop it
@@ -263,9 +314,11 @@ def kesten_profile(
     the corresponding operator is exactly the leading principal submatrix.
     Each estimate is the Rayleigh quotient of an explicit vector, from a
     LOBPCG solve on the in-ball generator images that starts from |x| of the
-    previous radius, padded with its minimum.  By eigenvalue interlacing
-    every earlier estimate stays a valid lower bound, so the profile is
-    nondecreasing by construction.
+    previous radius, padded with its minimum, and preconditioned by the exact
+    factor of I - M (_tree_solve) where the ball is a tree apart from loops,
+    as it is for free sets; a ball with a cycle runs without.  By eigenvalue
+    interlacing every earlier estimate stays a valid lower bound, so the
+    profile is nondecreasing by construction.
     """
     if not isinstance(gens, GenSet):
         gens = GenSet(gens)
@@ -279,15 +332,16 @@ def kesten_profile(
             raise ValueError(f"radii must be strictly increasing, got {a} then {b}")
 
     ball = orbit_ball(base, gens.elements, radii[-1], cap=cap)
-    images, sizes = ball.gen_images, [ball.prefix_size(r) for r in radii]
+    images, ends = ball.gen_images, [ball.prefix_size(d) for d in range(radii[-1] + 1)]
     del ball  # the solver reads only the images: free the node and tail tables
-    edges = _edges(gens, images)
+    form = _edges(gens, images)
     del images
     estimates, x = [], np.ones(1)  # the base node alone
-    for n in sizes:
-        start = np.full(n, np.abs(x).min())
+    for r in radii:
+        start = np.full(ends[r], np.abs(x).min())
         start[: x.size] = np.abs(x)
-        est, x = _top_eigenpair(_walk(edges, n, len(gens)), start)
+        est, x = _top_eigenpair(_walk(form, ends[r], len(gens)), start,
+                                _tree_solve(form, ends[: r + 1], len(gens)))
         # A lower bound at radius r is a lower bound at every larger radius
         # (ball compressions interlace), so the running maximum is certified.
         estimates.append(max(est, 0.0, *estimates[-1:]))

@@ -397,7 +397,8 @@ def modules_loaded():
     """Per run, in a fresh process: whether scipy was imported, whether
     numpy ran (a lazily imported numpy sits in sys.modules unexecuted, so
     look for its submodules), the cosetlab modules it imported (by their
-    names within the package), and whether dataclasses was imported."""
+    names within the package), whether dataclasses was imported, and
+    whether numpy.ma was."""
     env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
     probe = (
         "import contextlib, io, json, sys\n"
@@ -408,14 +409,14 @@ def modules_loaded():
         "print(json.dumps(['scipy' in sys.modules, "
         "any(m.startswith('numpy.') for m in sys.modules), "
         "[m[len('cosetlab.'):] for m in sys.modules if m.startswith('cosetlab.')], "
-        "'dataclasses' in sys.modules]))\n"
+        "'dataclasses' in sys.modules, 'numpy.ma' in sys.modules]))\n"
     )
     loaded = []
     for argv in _NUMPY_FREE_RUNS + _NUMPY_RUNS:
         got = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env,
                              capture_output=True, text=True, timeout=120)
-        scipy, numpy, modules, dataclasses = json.loads(got.stdout)
-        loaded.append((scipy, numpy, set(modules), dataclasses))
+        scipy, numpy, modules, dataclasses, masked = json.loads(got.stdout)
+        loaded.append((scipy, numpy, set(modules), dataclasses, masked))
     return loaded
 
 
@@ -428,13 +429,18 @@ def test_no_subcommand_loads_scipy(modules_loaded):
     assert not any(scipy for scipy, *_ in modules_loaded)
 
 
+def test_no_subcommand_loads_numpy_ma(modules_loaded):
+    # np.unique imports numpy.ma (about 10 ms) through np.ma.is_masked
+    assert not any(masked for *_, masked in modules_loaded)
+
+
 def test_only_subcommands_that_build_arrays_run_numpy(modules_loaded):
     numpy = [ran for _, ran, *_ in modules_loaded]
     assert numpy == [False] * len(_NUMPY_FREE_RUNS) + [True] * len(_NUMPY_RUNS)
 
 
 def test_each_run_loads_only_the_modules_it_uses(modules_loaded):
-    runs = {tuple(argv): (modules, dataclasses) for argv, (_, _, modules, dataclasses)
+    runs = {tuple(argv): (modules, dataclasses) for argv, (_, _, modules, dataclasses, _)
             in zip(_NUMPY_FREE_RUNS + _NUMPY_RUNS, modules_loaded)}
     for argv in [("--version",), ("kesten", "-k", "two"), ("kesten", "--radii", "0")]:
         modules, _ = runs[argv]

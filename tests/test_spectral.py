@@ -174,6 +174,8 @@ def kesten_inputs(draw):
           (0, 1, 2, 3, 4)))
 @example((Coset(0, IDENTITY), GenSet.symmetrized([G_IDENTITY, parse_gelement("x1")]),
           (0, 1, 3)))  # the identity is its own partner
+@example((Coset(0, IDENTITY), GenSet.symmetrized(map(parse_gelement, ("x1", "x2", "x1 x2"))),
+          (0, 1, 2, 3)))  # cycles: no tree factor from radius 1 on
 def test_kesten_profile_matches_dense_eigenvalues(inputs):
     base, gens, radii = inputs
     profile = kesten_profile(base, gens, radii)
@@ -210,6 +212,58 @@ def test_kesten_profile_traced_peak_is_bounded():
     profile, peak, _ = traced_peak(
         lambda: kesten_profile(Coset(0, IDENTITY), free_generator_set(2), range(1, 11)))
     assert profile.estimates[-1] == pytest.approx(0.8404454698, abs=1e-9)
+    assert peak <= 16 << 20
+
+
+T_X0 = GenSet.symmetrized([parse_gelement("t"), parse_gelement("x0")])
+
+
+def _tree_form(gens, radius):
+    ball = orbit_ball(Coset(0, IDENTITY), gens.elements, radius)
+    form = spectral._edges(gens, ball.gen_images)
+    return ball, form, [ball.prefix_size(d) for d in range(radius + 1)]
+
+
+def test_tree_factor_inverts_i_minus_m_on_a_ball_with_loops():
+    ball, form, ends = _tree_form(T_X0, 5)
+    dense = markov_operator(ball).matrix.toarray()
+    assert dense.diagonal().any()  # x0 fixes some nodes
+    rng = np.random.default_rng(5)
+    for r in (0, 3, 5):  # each prefix is factored with its own boundary
+        n = ends[r]
+        solve = spectral._tree_solve(form, ends[: r + 1], len(T_X0))
+        v = rng.standard_normal(n)
+        rhs = v - dense[:n, :n] @ v
+        solve(rhs)
+        assert np.abs(rhs - v).max() < 1e-12
+
+
+def test_tree_factor_refuses_a_ball_with_cycles():
+    gens = GenSet.symmetrized(map(parse_gelement, ("x1", "x2", "x1 x2")))
+    _, form, ends = _tree_form(gens, 3)
+    assert spectral._tree_solve(form, ends[:1], len(gens)) is not None  # the base alone
+    assert spectral._tree_solve(form, ends, len(gens)) is None
+
+
+def test_tree_factor_cuts_the_matvecs_of_the_shift_profile(monkeypatch):
+    # 436 products without the factor: the top two eigenvalues of the r=12
+    # ball, 0.98850 and 0.98224, lie close together
+    real, calls = spectral._walk, []
+
+    def counted(*args):
+        apply = real(*args)
+        return lambda v: calls.append(None) or apply(v)
+
+    monkeypatch.setattr(spectral, "_walk", counted)
+    profile = kesten_profile(Coset(0, IDENTITY), T_X0, range(1, 13))
+    # the r=12 top eigenvalue in perfbench/reference.json
+    assert profile.estimates[-1] == pytest.approx(0.9885030151951841, abs=1e-12)
+    assert len(calls) <= 150
+
+
+def test_shift_profile_traced_peak_is_bounded():
+    # 128,649 nodes at r=12; 14.5 MiB when the solve held the edge list
+    _, peak, _ = traced_peak(lambda: kesten_profile(Coset(0, IDENTITY), T_X0, range(1, 13)))
     assert peak <= 16 << 20
 
 
