@@ -8,9 +8,11 @@ One subcommand per claim family, JSON-first reports:
 * ``reciprocity``   - character suite (reciprocity, stages, invariants).
 * ``congruence``    - special linear group orders and separation witnesses.
 
-Exit codes: 0 all claims hold, 1 claim violation, 2 usage or parse error,
-3 resource cap exceeded.  Reports are deterministic; ``--no-meta`` drops the
-timestamped metadata block so identical inputs give byte-identical output.
+Each handler returns its report, a dict with a boolean ``pass``; ``main``
+names the subcommand in it, emits it, and maps ``pass`` to exit code 0 (all
+claims hold) or 1 (claim violation).  Errors exit 2 (usage or parse error)
+or 3 (resource cap exceeded).  Reports are deterministic; ``--no-meta`` drops
+the timestamped metadata block so identical inputs give byte-identical output.
 """
 
 import argparse
@@ -111,23 +113,19 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
-def _cmd_eymard_verify(args) -> int:
+def _cmd_eymard_verify(args) -> dict:
     parse_literals, parse_word, delta_invariance_check, format_word = _uses(
         "parse_literals parse_word delta_invariance_check format_word")
     words = parse_literals(args.words, "word", parse_word)
     level, deviations = delta_invariance_check(words)
-    ok = all(d == 0.0 for d in deviations.values())
-    report = {
-        "subcommand": "eymard-verify",
+    return {
         "level": level,
         "deviations": {format_word(w): d for w, d in deviations.items()},
-        "pass": ok,
+        "pass": all(d == 0.0 for d in deviations.values()),
     }
-    _emit(report, args)
-    return EXIT_PASS if ok else EXIT_CLAIM
 
 
-def _cmd_kesten(args) -> int:
+def _cmd_kesten(args) -> dict:
     if args.cap < 1:
         raise ValueError(f"node cap must be positive, got {args.cap}")
     radii = _parse_radii(args.radii, args.cap, args.k)
@@ -136,34 +134,28 @@ def _cmd_kesten(args) -> int:
     gens = free_generator_set(args.k)
     profile = kesten_profile(Coset(0, IDENTITY), gens, radii, cap=args.cap)
     limit = math.sqrt(2 * args.k - 1) / args.k
-    ok = all(e <= limit + 1e-9 for e in profile.estimates)
-    report = {
-        "subcommand": "kesten",
-        "k": args.k,
-        "generators": profile.generators,
-        "rows": [{"radius": r, "estimate": e} for r, e in profile.rows()],
-        "free_walk_limit": limit,
-        "pass": ok,
-    }
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["radius", "estimate"])
             for r, e in profile.rows():
                 writer.writerow([r, repr(e)])
-    _emit(report, args)
-    return EXIT_PASS if ok else EXIT_CLAIM
+    return {
+        "k": args.k,
+        "generators": profile.generators,
+        "rows": [{"radius": r, "estimate": e} for r, e in profile.rows()],
+        "free_walk_limit": limit,
+        "pass": all(e <= limit + 1e-9 for e in profile.estimates),
+    }
 
 
-def _cmd_reiter(args) -> int:
+def _cmd_reiter(args) -> dict:
     GenSet, parse_literals, parse_gelement, reiter_search, format_gelement = _uses(
         "GenSet parse_literals parse_gelement reiter_search format_gelement")
     gens = GenSet.symmetrized(parse_literals(args.generators, "generator", parse_gelement))
     cert = reiter_search(gens, args.epsilon, max_window=args.window)
     N = cert.window_size
-    ok = cert.max_deviation <= args.epsilon
-    report = {
-        "subcommand": "reiter",
+    return {
         "epsilon": args.epsilon,
         "generators": gens.describe(),
         "window_start": cert.window_start,
@@ -175,72 +167,48 @@ def _cmd_reiter(args) -> int:
             format_gelement(g): str(q) for g, q in cert.deviation_squared.items()
         },
         "max_deviation": cert.max_deviation,
-        "pass": ok,
+        "pass": cert.max_deviation <= args.epsilon,
     }
-    _emit(report, args)
-    return EXIT_PASS if ok else EXIT_CLAIM
 
 
-def _cmd_reciprocity(args) -> int:
+def _cmd_reciprocity(args) -> dict:
     default_suite_path, run_suite, SuiteFormatError = _uses(
         "default_suite_path run_suite SuiteFormatError")
     path = Path(args.suite) if args.suite else default_suite_path()
     try:
         result = run_suite(path)
     except SuiteFormatError as exc:
-        for problem in exc.problems:
-            print(f"error: {path}: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("\n".join(f"{path}: {p}" for p in exc.problems)) from None
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    report = {
-        "subcommand": "reciprocity",
+    return {
         "suite": args.suite or "default",
-        "entries": [
-            {
-                "line": e.line,
-                "kind": e.kind,
-                "description": e.description,
-                "passed": e.passed,
-                "details": e.details,
-            }
-            for e in result.entries
-        ],
+        "entries": [e._asdict() for e in result.entries],
         "pass": result.passed,
     }
-    _emit(report, args)
-    return EXIT_PASS if result.passed else EXIT_CLAIM
 
 
-def _cmd_congruence(args) -> int:
+def _cmd_congruence(args) -> dict:
     congruence_group, special_linear_order, separation_witness = _uses(
         "congruence_group special_linear_order separation_witness")
     if (args.n is None) != (args.m is None):
         raise ValueError("matrix size and modulus must be given together")
     if args.n is None and not args.witness:
         raise ValueError("nothing to do: give `n m` and/or --witness")
-    report = {"subcommand": "congruence"}
-    ok = True
+    report = {"pass": True}
     if args.n is not None:
-        if args.n < 2 or args.m < 2:
-            raise ValueError(
-                f"need matrix size >= 2 and modulus >= 2, got {args.n}, {args.m}"
-            )
         group = congruence_group(args.n, args.m, cap=args.cap)
         formula = special_linear_order(args.n, args.m)
         report["n"] = args.n
         report["m"] = args.m
         report["order_bfs"] = len(group)
         report["order_formula"] = formula
-        report["order_match"] = len(group) == formula
-        ok = ok and report["order_match"]
+        report["order_match"] = report["pass"] = len(group) == formula
     if args.witness:
         matrix = _parse_matrix(args.witness)
         modulus = separation_witness(matrix)
         report["witness"] = {"matrix": args.witness, "modulus": modulus}
-    report["pass"] = ok
-    _emit(report, args)
-    return EXIT_PASS if ok else EXIT_CLAIM
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,13 +323,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        report = args.func(args)
+        report["subcommand"] = args.subcommand
+        _emit(report, args)
+        return EXIT_PASS if report["pass"] else EXIT_CLAIM
+    except (ResourceLimitError, ValueError, OSError) as exc:
+        for line in str(exc).split("\n"):
+            print(f"error: {line}", file=sys.stderr)
+        return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
 
 
 # OpenBLAS reads these when numpy first loads (lazily, after this module).

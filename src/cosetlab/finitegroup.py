@@ -106,11 +106,11 @@ def _value(g, degree: int, modulus: Optional[int]):
     return p + tuple(range(len(p), degree))
 
 
-def _batch_op(kind: str, modulus: Optional[int]):
+def _batch_op(modulus: Optional[int]):
     """The group law on stacks of elements, broadcast over leading axes:
-    composition (a * b)(i) = a(b(i)) for permutation rows, the matrix
-    product mod m for matrices."""
-    if kind == "perm":
+    composition (a * b)(i) = a(b(i)) for permutation rows (no modulus), the
+    matrix product mod m for matrices."""
+    if modulus is None:
         return lambda a, b: np.take_along_axis(a, b, axis=-1)
     return lambda a, b: np.matmul(a, b) % modulus
 
@@ -210,15 +210,18 @@ class FiniteGroup:
     Elements are stored as one array of rows (shape (n, d) for
     permutations, (n, d, d) for matrices) and multiplied in batches; the
     tuple values in `elements` are the public view of the same rows, built
-    on first use.  The rows are the closure of the generator rows gens.
+    on first use.  The rows are the closure of the generator rows gens:
+    permutations when modulus is None, else matrices mod modulus.
     """
 
-    def __init__(self, gens, identity, kind, degree, modulus, generators, cap):
-        self._op = _batch_op(kind, modulus)
+    def __init__(self, gens, modulus, generators, cap):
+        self.kind = "perm" if modulus is None else "matrix"
+        self.degree = d = gens.shape[-1]
+        identity = (np.arange(d, dtype=gens.dtype) if modulus is None
+                    else np.eye(d, dtype=gens.dtype))[None]
+        self._op = _batch_op(modulus)
         self._rows, self._row_index, self._inv = _bfs_closure(
             gens, identity, self._op, cap, modulus)
-        self.kind = kind
-        self.degree = degree
         self.modulus = modulus
         self.generators = tuple(generators)
         self._verify_axioms()
@@ -328,8 +331,7 @@ class Subgroup(FiniteGroup):
 
     def __init__(self, parent: FiniteGroup, gen_values):
         gens = parent._rows[[parent.index_of(v) for v in gen_values]]
-        super().__init__(gens, parent._rows[:1], parent.kind, parent.degree,
-                         parent.modulus, tuple(gen_values), len(parent) + 1)
+        super().__init__(gens, parent.modulus, tuple(gen_values), len(parent) + 1)
         self.parent = parent
         self.parent_index = tuple(parent._find(self._rows).tolist())
 
@@ -395,8 +397,7 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
                 raise ValueError(f"generator {rows!r} is not invertible mod {m}")
         # holds every unreduced sum of products; object (Python ints) past 64 bits
         dtype = np.min_scalar_type(n * (m - 1) ** 2)
-        return FiniteGroup(np.array(mats, dtype=dtype).reshape(-1, n, n),
-                           np.eye(n, dtype=dtype)[None], "matrix", n, m, mats, cap)
+        return FiniteGroup(np.array(mats, dtype=dtype).reshape(-1, n, n), m, mats, cap)
 
     points = (max(map(max, _parse_cycle_string(g)), default=-1) + 1 if isinstance(g, str)
               else len(g) for g in gens)
@@ -406,8 +407,7 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
         if sorted(p) != list(range(deg)):
             raise ValueError(f"{p!r} is not a permutation")
     dtype = np.min_scalar_type(deg - 1)
-    return FiniteGroup(np.array(perms, dtype=dtype).reshape(-1, deg),
-                       np.arange(deg, dtype=dtype)[None], "perm", deg, None, perms, cap)
+    return FiniteGroup(np.array(perms, dtype=dtype).reshape(-1, deg), None, perms, cap)
 
 
 def congruence_group(n: int, m: int, cap: int = 10**6) -> FiniteGroup:

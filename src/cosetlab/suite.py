@@ -9,10 +9,9 @@ in stages, or invariant-vector dimension counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .characters import (
     Character,
@@ -87,17 +86,15 @@ class SuiteFormatError(ValueError):
         self.problems = problems
 
 
-@dataclass
-class EntryResult:
+class EntryResult(NamedTuple):
     line: int
     kind: str
     description: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     entries: List[EntryResult]
     warnings: List[str]
 

@@ -101,7 +101,8 @@ def test_induction_degree():
 
 def test_induced_trivial_is_the_coset_character():
     for gname, hname in (("s3", "c3_in_s3"), ("s4", "s3_in_s4"),
-                         ("sl2z3", "borel_sl2z3"), ("gl32", "stab_gl32")):
+                         ("sl2z3", "borel_sl2z3"), ("gl32", "stab_gl32"),
+                         ("gl32", "e_in_gl32"), ("s4", "c2_in_s4")):
         h = registry()[hname]
         ind = induce_character(Character.trivial(h), registry()[gname])
         perm = coset_permutation_character(h)

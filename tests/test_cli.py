@@ -273,10 +273,14 @@ def test_reciprocity_report_names_the_suite_as_given(capsys, tmp_path, monkeypat
 
 def test_reciprocity_malformed_suite(capsys, tmp_path):
     p = tmp_path / "bad.jsonl"
-    p.write_text('{"kind": "mystery"}\n')
+    p.write_text('{"kind": "mystery"}\n{"kind": "frobenius"}\n')
     code, out, err = run(capsys, "reciprocity", str(p))
     assert code == 2
-    assert "line 1" in err
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {p}: line 1: unknown kind 'mystery'",
+        f"error: {p}: line 2: missing fields ['group', 'subgroup']",
+    ]
 
 
 def test_reciprocity_failing_suite(capsys, tmp_path):
@@ -346,6 +350,24 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert str(target) in out
     report = json.loads(target.read_text())
     assert report["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["eymard-verify", "x5 x3 x5^-1, x1"],
+    ["kesten", "-k", "1", "--radii", "1..3"],
+    ["reiter", "t, x0, x-3", "--epsilon", "0.1"],
+    ["reciprocity", "{failing_suite}"],
+    ["congruence", "2", "3", "--witness", "1,6;0,1"],
+])
+def test_out_file_holds_the_printed_report(capsys, tmp_path, argv):
+    failing = tmp_path / "fail.jsonl"
+    failing.write_text('{"kind": "frobenius", "group": "s4", "subgroup": "c3_in_s3"}\n')
+    argv = [a.format(failing_suite=failing) for a in argv] + ["--no-meta"]
+    code, printed, _ = run(capsys, *argv)
+    target = tmp_path / "report.json"
+    assert run(capsys, *argv, "--out", str(target)) == (code, f"report written to {target}\n", "")
+    assert target.read_text() == printed
+    assert code == (1 if argv[0] == "reciprocity" else 0)
 
 
 def test_unknown_subcommand(capsys):
@@ -432,6 +454,11 @@ def test_no_subcommand_loads_scipy(modules_loaded):
 def test_no_subcommand_loads_numpy_ma(modules_loaded):
     # np.unique imports numpy.ma (about 10 ms) through np.ma.is_masked
     assert not any(masked for *_, masked in modules_loaded)
+
+
+def test_no_subcommand_loads_dataclasses(modules_loaded):
+    # dataclasses imports inspect; numpy loads inspect but not dataclasses
+    assert not any(dataclasses for *_, dataclasses, _ in modules_loaded)
 
 
 def test_only_subcommands_that_build_arrays_run_numpy(modules_loaded):
