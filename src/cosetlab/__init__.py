@@ -10,15 +10,14 @@ The public names resolve on first access, so importing the package loads
 none of its submodules, and a run loads only those it uses.
 """
 
-from ._lazy import lazy_attributes
-
 __version__ = "1.0.0"
 
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "errors": "ResourceLimitError",
     "freegroup": "GElement G_IDENTITY IDENTITY Word format_gelement format_word g_inv g_mul "
-    "gamma_member minimal_level parse_gelement parse_word reduce retract shift_word w_inv w_mul",
+    "gamma_member minimal_level parse_gelement parse_literals parse_word reduce retract "
+    "shift_word w_inv w_mul",
     "cosets": "Coset OrbitBall act h_orbit_partition normal_form orbit_ball",
     "spectral": "GenSet ReiterCertificate SpectralProfile delta_invariance_check "
     "free_generator_set kesten_profile markov_operator reiter_search",
@@ -31,7 +30,20 @@ _EXPORTS = {
     "registry run_suite",
 }
 __all__ = [*_EXPORTS, *" ".join(_EXPORTS.values()).split()]
-__getattr__ = lazy_attributes(globals(), _EXPORTS)
+
+
+def __getattr__(name: str):
+    """A submodule, or a public name imported from its submodule on first
+    access (PEP 562) and bound here, where later lookups find it."""
+    home = [module for module, names in _EXPORTS.items() if name in (module, *names.split())]
+    if not home:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, is timed by -X importtime;
+    # it binds the submodule here
+    __import__(f"{__name__}.{home[0]}")
+    if name != home[0]:
+        globals()[name] = getattr(globals()[home[0]], name)
+    return globals()[name]
 
 
 def __dir__():

@@ -166,9 +166,9 @@ def stages_check(G: FiniteGroup, H: Subgroup, F: FiniteGroup,
     if chi_F.group is not F:
         raise ValueError("chi_F must live on F")
     f_in_h = F if isinstance(F, Subgroup) and F.parent is H \
-        else H.subgroup_from_values(F.elements)
+        else H.subgroup(F.generators)
     f_in_g = F if isinstance(F, Subgroup) and F.parent is G \
-        else G.subgroup_from_values(F.elements)
+        else G.subgroup(F.generators)
     chi_h = chi_F if chi_F.group is f_in_h else transfer_character(chi_F, f_in_h)
     chi_g = chi_F if chi_F.group is f_in_g else transfer_character(chi_F, f_in_g)
 

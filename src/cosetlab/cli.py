@@ -26,20 +26,23 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from ._lazy import lazy_attributes
 from .errors import ResourceLimitError
 
-# What the handlers call from the other modules.  Each name is imported on
-# first access and bound here as a module attribute, and the handlers look it
-# up here (`_uses`), so a subcommand loads only the modules it runs and calls
-# whatever `cli.<name>` holds when it runs.
-__getattr__ = lazy_attributes(globals(), {
-    "freegroup": "IDENTITY format_gelement format_word parse_gelement parse_literals parse_word",
-    "cosets": "Coset",
-    "spectral": "GenSet delta_invariance_check free_generator_set kesten_profile reiter_search",
-    "suite": "SuiteFormatError default_suite_path run_suite",
-    "finitegroup": "congruence_group separation_witness special_linear_order",
-})
+# The handlers call the package's public names as `cli.<name>`: this hook
+# imports each on first access, so a subcommand loads only the modules it
+# runs, and binds it here, so a handler runs whatever `cli.<name>` holds
+# (perfbench/tracer.py replaces some).  Any other name, dunders included,
+# is refused, so `hasattr` and `import *` see a plain module.
+cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
+
 
 EXIT_PASS = 0
 EXIT_CLAIM = 1
@@ -92,11 +95,6 @@ def _parse_matrix(text: str):
     return tuple(rows)
 
 
-def _uses(names: str) -> list:
-    """The named dependencies, as attributes of this module."""
-    return [getattr(sys.modules[__name__], name) for name in names.split()]
-
-
 def _emit(report: dict, args) -> None:
     if not args.no_meta:
         report = dict(report)
@@ -114,13 +112,11 @@ def _emit(report: dict, args) -> None:
 
 
 def _cmd_eymard_verify(args) -> dict:
-    parse_literals, parse_word, delta_invariance_check, format_word = _uses(
-        "parse_literals parse_word delta_invariance_check format_word")
-    words = parse_literals(args.words, "word", parse_word)
-    level, deviations = delta_invariance_check(words)
+    words = cli.parse_literals(args.words, "word", cli.parse_word)
+    level, deviations = cli.delta_invariance_check(words)
     return {
         "level": level,
-        "deviations": {format_word(w): d for w, d in deviations.items()},
+        "deviations": {cli.format_word(w): d for w, d in deviations.items()},
         "pass": all(d == 0.0 for d in deviations.values()),
     }
 
@@ -129,10 +125,8 @@ def _cmd_kesten(args) -> dict:
     if args.cap < 1:
         raise ValueError(f"node cap must be positive, got {args.cap}")
     radii = _parse_radii(args.radii, args.cap, args.k)
-    free_generator_set, kesten_profile, Coset, IDENTITY = _uses(
-        "free_generator_set kesten_profile Coset IDENTITY")
-    gens = free_generator_set(args.k)
-    profile = kesten_profile(Coset(0, IDENTITY), gens, radii, cap=args.cap)
+    gens = cli.free_generator_set(args.k)
+    profile = cli.kesten_profile(cli.Coset(0, cli.IDENTITY), gens, radii, cap=args.cap)
     limit = math.sqrt(2 * args.k - 1) / args.k
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -150,10 +144,9 @@ def _cmd_kesten(args) -> dict:
 
 
 def _cmd_reiter(args) -> dict:
-    GenSet, parse_literals, parse_gelement, reiter_search, format_gelement = _uses(
-        "GenSet parse_literals parse_gelement reiter_search format_gelement")
-    gens = GenSet.symmetrized(parse_literals(args.generators, "generator", parse_gelement))
-    cert = reiter_search(gens, args.epsilon, max_window=args.window)
+    literals = cli.parse_literals(args.generators, "generator", cli.parse_gelement)
+    gens = cli.GenSet.symmetrized(literals)
+    cert = cli.reiter_search(gens, args.epsilon, max_window=args.window)
     N = cert.window_size
     return {
         "epsilon": args.epsilon,
@@ -162,9 +155,9 @@ def _cmd_reiter(args) -> dict:
         "window_size": N,
         # float(N) overflows past 2^1024, which a huge --window admits
         "amplitude": 1.0 / math.sqrt(N) if N < 2**1000 else math.exp(-math.log(N) / 2),
-        "deviations": {format_gelement(g): d for g, d in cert.deviations.items()},
+        "deviations": {cli.format_gelement(g): d for g, d in cert.deviations.items()},
         "deviation_squared": {
-            format_gelement(g): str(q) for g, q in cert.deviation_squared.items()
+            cli.format_gelement(g): str(q) for g, q in cert.deviation_squared.items()
         },
         "max_deviation": cert.max_deviation,
         "pass": cert.max_deviation <= args.epsilon,
@@ -172,12 +165,10 @@ def _cmd_reiter(args) -> dict:
 
 
 def _cmd_reciprocity(args) -> dict:
-    default_suite_path, run_suite, SuiteFormatError = _uses(
-        "default_suite_path run_suite SuiteFormatError")
-    path = Path(args.suite) if args.suite else default_suite_path()
+    path = Path(args.suite) if args.suite else cli.default_suite_path()
     try:
-        result = run_suite(path)
-    except SuiteFormatError as exc:
+        result = cli.run_suite(path)
+    except cli.SuiteFormatError as exc:
         raise ValueError("\n".join(f"{path}: {p}" for p in exc.problems)) from None
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -189,16 +180,14 @@ def _cmd_reciprocity(args) -> dict:
 
 
 def _cmd_congruence(args) -> dict:
-    congruence_group, special_linear_order, separation_witness = _uses(
-        "congruence_group special_linear_order separation_witness")
     if (args.n is None) != (args.m is None):
         raise ValueError("matrix size and modulus must be given together")
     if args.n is None and not args.witness:
         raise ValueError("nothing to do: give `n m` and/or --witness")
     report = {"pass": True}
     if args.n is not None:
-        group = congruence_group(args.n, args.m, cap=args.cap)
-        formula = special_linear_order(args.n, args.m)
+        group = cli.congruence_group(args.n, args.m, cap=args.cap)
+        formula = cli.special_linear_order(args.n, args.m)
         report["n"] = args.n
         report["m"] = args.m
         report["order_bfs"] = len(group)
@@ -206,7 +195,7 @@ def _cmd_congruence(args) -> dict:
         report["order_match"] = report["pass"] = len(group) == formula
     if args.witness:
         matrix = _parse_matrix(args.witness)
-        modulus = separation_witness(matrix)
+        modulus = cli.separation_witness(matrix)
         report["witness"] = {"matrix": args.witness, "modulus": modulus}
     return report
 

@@ -322,9 +322,6 @@ class FiniteGroup:
     def subgroup(self, gens) -> "Subgroup":
         return Subgroup(self, [_value(g, self.degree, self.modulus) for g in gens])
 
-    def subgroup_from_values(self, values) -> "Subgroup":
-        return Subgroup(self, list(values))
-
 
 class Subgroup(FiniteGroup):
     """A subgroup enumerated inside a parent group, with left-coset data."""

@@ -89,6 +89,8 @@ def test_restriction_values():
             assert round(m.real) >= 0
             total += round(m.real) * round(chi.degree.real)
         assert total == round(rho.degree.real)
+    with pytest.raises(ValueError, match="subgroup of the character's group"):
+        restrict_character(Character.trivial(registry()["s3"]), h)
 
 
 def test_induction_degree():
@@ -146,12 +148,25 @@ def test_stages_check_triples():
                         Character.trivial(reg["e_in_sl2z3"]))
     assert stages_check(reg["sl2z3"], reg["borel_sl2z3"], reg["borel_sl2z3"],
                         irreducibles("borel_sl2z3")[1])
+    # F built inside H: stages_check embeds it in G from its generators
+    s3_in_s4, stab_gl32 = reg["s3_in_s4"], reg["stab_gl32"]
+    for g, h, f in ((reg["s4"], s3_in_s4, s3_in_s4.subgroup([(1, 0, 2, 3)])),
+                    (reg["gl32"], stab_gl32, stab_gl32.subgroup(stab_gl32.generators[:1]))):
+        assert len(f) > 1
+        for chi in (Character.trivial(f), Character.regular(f)):
+            assert stages_check(g, h, f, chi)
 
 
 def test_stages_check_validates_nesting():
     reg = registry()
     with pytest.raises(ValueError):
         stages_check(reg["s4"], reg["c2_in_s4"], reg["s3_in_s4"],
+                     Character.trivial(reg["s3_in_s4"]))
+    with pytest.raises(ValueError, match="H must be a subgroup of G"):
+        stages_check(reg["s3"], reg["s3_in_s4"], reg["c2_in_s4"],
+                     Character.trivial(reg["c2_in_s4"]))
+    with pytest.raises(ValueError, match="chi_F must live on F"):
+        stages_check(reg["s4"], reg["s3_in_s4"], reg["c2_in_s4"],
                      Character.trivial(reg["s3_in_s4"]))
 
 
@@ -171,6 +186,8 @@ def test_transfer_character():
     again = transfer_character(chi, h)
     for a, b in zip(chi.values, again.values):
         assert abs(a - b) < 1e-12
+    with pytest.raises(ValueError, match="different elements"):
+        transfer_character(chi, reg["s3"])
 
 
 def test_inner_product_requires_same_group():
@@ -205,6 +222,19 @@ def test_parse_character_table_errors():
     )
     with pytest.raises(ValueError):
         parse_character_table(g, text, origin="frac")
+    # a value that is not one re,im pair, and a number that does not parse
+    with pytest.raises(ValueError, match=r"pair:1: bad value '1\.0' \(expected re,im\)"):
+        parse_character_table(g, "chi0 1.0 1.0,0.0 1.0,0.0\n", origin="pair")
+    with pytest.raises(ValueError, match="nan:1: bad number in '1.0,x'"):
+        parse_character_table(g, "chi0 1.0,0.0 1.0,x 1.0,0.0\n", origin="nan")
+    # an integer degree that is not positive
+    text = (
+        "chi0 -1.0,0.0 1.0,0.0 1.0,0.0\n"
+        "chi1 1.0,0.0 -1.0,0.0 1.0,0.0\n"
+        "chi2 2.0,0.0 0.0,0.0 -1.0,0.0\n"
+    )
+    with pytest.raises(ValueError, match="neg: degree of chi0 is -1, not positive"):
+        parse_character_table(g, text, origin="neg")
 
 
 def test_character_value_on():
@@ -236,7 +266,7 @@ def test_induce_character_to_a_subgroup_matches_conjugation_sum():
     reg = registry()
     for mid_name, low_name in (("s3_in_s4", "c2_in_s4"), ("stab_gl32", "e_in_gl32")):
         mid = reg[mid_name]
-        low = mid.subgroup_from_values(reg[low_name].elements)
+        low = mid.subgroup(reg[low_name].elements)
         chi = Character.trivial(low)
         ind = induce_character(chi, mid)
         for a, b in zip(ind.values, reference_induce(chi, mid)):

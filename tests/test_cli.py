@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cosetlab
 from cosetlab import cli, suite
 from cosetlab._lazy import lazy_import
 from cosetlab.cli import main
@@ -409,7 +410,9 @@ def test_literal_lists_are_bounded_as_a_whole(capsys):
 
 
 _NUMPY_FREE_RUNS = [["--version"], ["reiter", "t", "--epsilon", "0.5"], ["eymard-verify", "x1"],
-                    ["kesten", "-k", "two"], ["kesten", "--radii", "0"]]  # usage errors
+                    # usage errors
+                    ["kesten", "-k", "two"], ["kesten", "--radii", "0"], ["congruence", "2"],
+                    ["reiter", "x1 y", "--epsilon", "0.5"]]
 _NUMPY_RUNS = [["reciprocity"], ["congruence", "2", "3"],
                ["kesten", "-k", "1", "--radii", "1"]]
 
@@ -479,6 +482,16 @@ def test_each_run_loads_only_the_modules_it_uses(modules_loaded):
         assert not modules & {"finitegroup", "characters", "suite"}, argv
     modules, _ = runs["congruence", "2", "3"]
     assert "finitegroup" in modules and not modules & {"spectral", "cosets"}
+    # a usage error loads no module it does not run
+    assert runs["congruence", "2"][0] == {"cli", "errors"}
+    assert runs["reiter", "x1 y", "--epsilon", "0.5"][0] == {"cli", "errors", "freegroup"}
+
+
+def test_cli_resolves_only_the_public_names():
+    assert cli.parse_literals is cosetlab.parse_literals
+    for name in ("no_such_name", "__path__", "__all__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cli, name)
 
 
 @pytest.mark.parametrize("name, argv", [

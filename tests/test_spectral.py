@@ -56,6 +56,10 @@ def radial_oracle(r: int) -> float:
 def test_genset_requires_symmetry():
     with pytest.raises(ValueError):
         GenSet([parse_gelement("x1")])
+    with pytest.raises(ValueError, match="must be nonempty"):
+        GenSet([])
+    with pytest.raises(TypeError, match="expected GElement, got Word"):
+        GenSet([parse_word("x1"), parse_word("x1^-1")])
     s = GenSet.symmetrized([parse_gelement("x1")])
     assert len(s) == 2
     both = GenSet([parse_gelement("x1"), parse_gelement("x1^-1")])
@@ -146,6 +150,11 @@ def test_kesten_profile_validates_radii():
         kesten_profile(Coset(0, IDENTITY), gens, (3, 1))
     with pytest.raises(ValueError):
         kesten_profile(Coset(0, IDENTITY), gens, ())
+    # a plain list of generators is made a GenSet, and checked as one
+    assert kesten_profile(Coset(0, IDENTITY), list(gens), (1, 2)).estimates == \
+        kesten_profile(Coset(0, IDENTITY), gens, (1, 2)).estimates
+    with pytest.raises(ValueError, match="not symmetric"):
+        kesten_profile(Coset(0, IDENTITY), [parse_gelement("x1")], (1,))
 
 
 def test_kesten_profile_matches_direct_balls():
@@ -356,6 +365,11 @@ def test_reiter_search_validates_epsilon():
     for eps in (0.0, 2.0, -1.0, 3.0):
         with pytest.raises(ValueError):
             reiter_search(gens, eps)
+    # a plain list of generators is made a GenSet, and checked as one
+    listed, genset = reiter_search(list(gens), 0.5), reiter_search(gens, 0.5)
+    assert (listed.window_size, listed.deviations) == (genset.window_size, genset.deviations)
+    with pytest.raises(ValueError, match="not symmetric"):
+        reiter_search([parse_gelement("t")], 0.5)
 
 
 def test_reiter_search_window_cap():

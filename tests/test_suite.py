@@ -23,6 +23,8 @@ def test_registry_contents():
     # registry handles are cached
     assert registry()["s3"] is reg["s3"]
     assert irreducibles("s3") is irreducibles("s3")
+    with pytest.raises(ValueError, match="no bundled character table for 'e_in_s3'"):
+        irreducibles("e_in_s3")
 
 
 def test_default_suite_passes():
