@@ -142,13 +142,14 @@ def coset_permutation_character(H: Subgroup) -> Character:
 def transfer_character(chi: Character, target: FiniteGroup) -> Character:
     """Re-express a character on another enumeration of the same group
     (same element values, possibly different element and class order)."""
-    src = chi.group
-    if frozenset(src.elements) != frozenset(target.elements):
+    src, rows = chi.group, target._rows
+    try:
+        ids = src._find(rows.astype(src._rows.dtype))
+    except (KeyError, OverflowError):
+        ids = None
+    if ids is None or src._rows.shape != rows.shape or (src._rows[ids] != rows).any():
         raise ValueError("target group has different elements")
-    values = [
-        chi.values[src.class_of(src.index_of(target.element(c.rep)))]
-        for c in target.classes
-    ]
+    values = [chi.values[src.class_of(int(ids[c.rep]))] for c in target.classes]
     return Character(target, values, name=chi.name)
 
 
@@ -165,6 +166,8 @@ def stages_check(G: FiniteGroup, H: Subgroup, F: FiniteGroup,
         raise ValueError("H must be a subgroup of G")
     if chi_F.group is not F:
         raise ValueError("chi_F must live on F")
+    if not all(map(H.contains_value, F.generators)):
+        raise ValueError("F must be a subgroup of H")
     f_in_h = F if isinstance(F, Subgroup) and F.parent is H \
         else H.subgroup(F.generators)
     f_in_g = F if isinstance(F, Subgroup) and F.parent is G \
@@ -225,10 +228,9 @@ def parse_character_table(group: FiniteGroup, text: str,
         if d < 1:
             raise ValueError(f"{origin}: degree of {chi.name} is {d}, not positive")
     for i, a in enumerate(chars):
-        for j in range(i, len(chars)):
-            b = chars[j]
+        for b in chars[i:]:
             ip = inner_product(a, b)
-            target = 1.0 if i == j else 0.0
+            target = 1.0 if b is a else 0.0
             if abs(ip - target) > TOL:
                 raise ValueError(
                     f"{origin}: orthonormality fails for ({a.name}, {b.name}): "

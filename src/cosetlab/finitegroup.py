@@ -7,7 +7,8 @@ Subgroups carry left-coset transversals of their parent.  Congruence
 quotients of the integer special linear group are generated by the
 elementary transvections, and point-separation witnesses find the smallest
 modulus at which a non-identity integer matrix stays non-identity.
-Elements are numpy arrays; numpy is imported lazily, on first use.
+Elements are numpy rows, looked up by value or by row in the closure's row
+table; numpy is imported lazily, on first use.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import math
 import random
 import re
+from contextlib import suppress
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._lazy import lazy_import
 from ._table import _Table
@@ -208,9 +210,9 @@ class FiniteGroup:
     enumerated in deterministic breadth-first order (identity first).
 
     Elements are stored as one array of rows (shape (n, d) for
-    permutations, (n, d, d) for matrices) and multiplied in batches; the
-    tuple values in `elements` are the public view of the same rows, built
-    on first use.  The rows are the closure of the generator rows gens:
+    permutations, (n, d, d) for matrices), multiplied in batches and found
+    in the row table; their tuple view `elements` is built only for callers
+    that read it.  The rows are the closure of the generator rows gens:
     permutations when modulus is None, else matrices mod modulus.
     """
 
@@ -239,10 +241,6 @@ class FiniteGroup:
             return list(map(tuple, self._rows.tolist()))
         return [tuple(map(tuple, v)) for v in self._rows.tolist()]
 
-    @cached_property
-    def _index(self) -> Dict[object, int]:
-        return {v: i for i, v in enumerate(self.elements)}
-
     @property
     def identity(self):
         return self.elements[0]
@@ -251,13 +249,20 @@ class FiniteGroup:
         return self.elements[i]
 
     def index_of(self, value) -> int:
-        try:
-            return self._index[value]
-        except KeyError:
-            raise ValueError(f"{value!r} is not an element of this group") from None
+        """The index of an element value, found in the row table: a row of
+        the group's row shape whose entries equal the value's (1.0 is 1)."""
+        with suppress(TypeError, ValueError, OverflowError, KeyError):
+            obj = np.array([value], object)
+            row = np.array([[int(x) for x in obj.flat]], self._rows.dtype)
+            if obj.shape[1:] == self._rows.shape[1:] and row[0].tolist() == list(obj.flat):
+                return int(self._find(row)[0])
+        raise ValueError(f"{value!r} is not an element of this group")
 
     def contains_value(self, value) -> bool:
-        return value in self._index
+        """Whether index_of finds value."""
+        with suppress(ValueError):
+            return self.index_of(value) >= 0
+        return False
 
     def _find(self, rows: np.ndarray) -> np.ndarray:
         """Element indices of a stack of rows, or KeyError if one is absent."""
@@ -378,12 +383,9 @@ def generate_group(gens, modulus: Optional[int] = None, degree: Optional[int] = 
         m = int(modulus)
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        if not gens:
-            if degree is None:
-                raise ValueError("matrix group with no generators needs a degree")
-            n = int(degree)
-        else:
-            n = len(gens[0])
+        if not gens and degree is None:
+            raise ValueError("matrix group with no generators needs a degree")
+        n = len(gens[0]) if gens else int(degree)
         if n < 1:
             raise ValueError(f"matrix size must be >= 1, got {n}")
         mats = [_value(g, n, m) for g in gens]
@@ -473,9 +475,7 @@ def separation_witness(A) -> int:
     """
     rows = tuple(tuple(int(x) for x in row) for row in A)
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    if _int_det(rows) != 1:
+    if _int_det(rows) != 1:  # which raises unless the matrix is square
         raise ValueError(f"determinant must be 1, got {_int_det(rows)}")
     dev = [[rows[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     if all(x == 0 for row in dev for x in row):

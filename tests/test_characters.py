@@ -17,7 +17,7 @@ from cosetlab.characters import (
     stages_check,
     transfer_character,
 )
-from cosetlab.finitegroup import Subgroup, generate_group
+from cosetlab.finitegroup import Subgroup, congruence_group, generate_group
 from cosetlab.suite import TABLE_NAMES, irreducibles, registry
 
 from group_oracle import reference_induce
@@ -159,7 +159,7 @@ def test_stages_check_triples():
 
 def test_stages_check_validates_nesting():
     reg = registry()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="F must be a subgroup of H"):
         stages_check(reg["s4"], reg["c2_in_s4"], reg["s3_in_s4"],
                      Character.trivial(reg["s3_in_s4"]))
     with pytest.raises(ValueError, match="H must be a subgroup of G"):
@@ -188,6 +188,21 @@ def test_transfer_character():
         assert abs(a - b) < 1e-12
     with pytest.raises(ValueError, match="different elements"):
         transfer_character(chi, reg["s3"])
+    # the lower Borel: same order and row shape, other elements
+    lower = reg["sl2z3"].subgroup([((1, 0), (1, 1)), ((2, 0), (0, 2))])
+    with pytest.raises(ValueError, match="different elements"):
+        transfer_character(chi, lower)
+
+
+def test_lookups_build_no_tuple_view():
+    g = congruence_group(2, 5)
+    h = g.subgroup([((1, 1), (0, 1))])
+    again = g.subgroup([((1, 2), (0, 1))])  # the same elements, another order
+    assert g.index_of(((1, 2), (0, 1))) == again.to_parent(1)
+    assert g.contains_value(((2, 0), (0, 3))) and not g.contains_value(((2, 0), (0, 2)))
+    chi = Character.regular(h)
+    assert transfer_character(chi, again).values == chi.values
+    assert all("elements" not in vars(x) for x in (g, h, again))
 
 
 def test_inner_product_requires_same_group():

@@ -44,6 +44,16 @@ def test_coset_validation():
         Coset(2, parse_word("x2"))
     with pytest.raises(ValueError):
         Coset(0, parse_word("x-1"))
+    with pytest.raises(TypeError, match="tail must be a Word"):
+        Coset(0, "x1")
+    with pytest.raises(TypeError, match="word must be a Word"):
+        GElement(0, "x1")
+    with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
+        orbit_ball(Coset(0, IDENTITY), gens_x12(), -1)
+    with pytest.raises(ValueError, match="generator sequence must be nonempty"):
+        orbit_ball(Coset(0, IDENTITY), (), 2)
+    with pytest.raises(TypeError, match="generators must be GElements, got Word"):
+        orbit_ball(Coset(0, IDENTITY), (parse_word("x1"),), 2)
 
 
 def test_normal_form_examples():
@@ -144,6 +154,9 @@ def test_orbit_ball_distances_and_images():
                 # boundary: the image exists but lies outside the ball
                 assert ball.find(target) is None
                 assert ball.distance(i) == 4
+    # a level or a letter index past 1 << 31 is outside any ball
+    assert ball.find(Coset(1 << 31, IDENTITY)) is None
+    assert ball.find(Coset(0, parse_word(f"x{1 << 31}"))) is None
 
 
 def test_orbit_ball_edges_are_symmetric():
@@ -161,6 +174,8 @@ def test_orbit_ball_cap():
     with pytest.raises(ResourceLimitError) as exc:
         orbit_ball(Coset(0, IDENTITY), gens_x12(), 10, cap=50)
     assert "radius" in str(exc.value)
+    with pytest.raises(ValueError, match="node cap must be positive, got 0"):
+        orbit_ball(Coset(0, IDENTITY), gens_x12(), 2, cap=0)
 
 
 def test_orbit_ball_image_limit_is_checked_before_each_layer(monkeypatch):

@@ -27,7 +27,7 @@ from group_oracle import (
     reference_closure,
     reference_cosets,
 )
-from helpers import mat_mul, MAT_ID
+from helpers import mat_mul, MAT_ID, traced_peak
 
 
 def test_generate_symmetric_group():
@@ -65,6 +65,12 @@ def test_generate_group_validates_permutations():
         generate_group([(0, 0, 1)])
     with pytest.raises(ValueError):
         generate_group(["(1 2 3)", (0, 0)])
+    with pytest.raises(ValueError, match="bad cycle notation"):
+        generate_group(["(1 2) x"])
+    with pytest.raises(ValueError, match="cycle points are 1-based"):
+        generate_group(["(0 1)"])
+    with pytest.raises(ValueError, match="repeated point in cycle"):
+        generate_group(["(1 1)"])
     for cap in (0, -1):
         with pytest.raises(ValueError, match="element cap must be positive"):
             generate_group(["(1 2)"], cap=cap)
@@ -84,6 +90,8 @@ def test_generate_matrix_group_rejects_singular():
         generate_group([((1, 1), (1, 1))], modulus=3)
     with pytest.raises(ValueError):
         generate_group([((1, 1, 0), (0, 1, 1))], modulus=2)
+    with pytest.raises(ValueError, match="not invertible mod 3"):  # a zero pivot column
+        generate_group([((0, 1), (0, 1))], modulus=3)
 
 
 def test_group_operations_are_consistent():
@@ -100,6 +108,53 @@ def test_group_operations_are_consistent():
         assert g.mul(a, g.inv(a)) == 0
         assert g.mul(0, a) == a
         assert g.mul(a, 0) == a
+
+
+_S2 = generate_group([(1, 0)])
+_SL23 = congruence_group(2, 3)
+
+
+@pytest.mark.parametrize("group, value, member", [
+    (_S2, 1, False),
+    (_S2, (1.5, 0), False),
+    (_S2, (1, 0, 2), False),
+    (_S2, (1.0, 0), True),
+    (registry()["s3"], (1, 0), False),
+    (registry()["s3"], (1, 0, 2, 3), False),
+    (registry()["s3"], (-1, 0, 2), False),
+    (registry()["s3"], (300, 0, 1), False),
+    (registry()["s3"], "(1 2)", False),
+    (registry()["s3"], None, False),
+    (registry()["s3"], ((1, 0, 2),), False),
+    (registry()["s3"], (1, 0, 2), True),
+    (_SL23, ((4, 1), (0, 1)), False),
+    (_SL23, ((1, 1),), False),
+    (_SL23, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), False),
+    (_SL23, ((1, 1), (0, 1.0)), True),
+])
+def test_value_lookup_takes_only_exact_elements_of_the_row_shape(group, value, member):
+    # the row shape and each entry must match: no padding, truncation,
+    # reduction or wrap-around, and 1.0 equals 1 as a tuple key would
+    result = group.contains_value(value)
+    assert type(result) is bool and result == member
+    if member:
+        assert group.element(group.index_of(value)) == value
+    else:
+        with pytest.raises(ValueError, match="is not an element of this group"):
+            group.index_of(value)
+
+
+def test_a_list_value_is_looked_up_as_its_tuple():
+    s3 = registry()["s3"]
+    assert s3.contains_value([1, 0, 2])
+    assert s3.index_of([1, 0, 2]) == s3.index_of((1, 0, 2))
+
+
+def test_a_subgroup_builds_no_tuple_view_of_its_parent():
+    g = congruence_group(2, 31)
+    sub, peak, _ = traced_peak(lambda: g.subgroup([((1, 1), (0, 1))]))
+    assert len(sub) == 31 and "elements" not in vars(g)
+    assert peak < 1 << 20
 
 
 def test_conjugacy_classes_partition():
@@ -179,11 +234,18 @@ def test_congruence_group_validates_input():
         congruence_group(1, 5)
     with pytest.raises(ValueError):
         congruence_group(2, 1)
+    with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+        special_linear_order(0, 5)
 
 
-def test_generation_cap():
+def test_generation_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         congruence_group(2, 5, cap=50)
+    with pytest.raises(ResourceLimitError, match="element order exceeds cap 3"):
+        generate_group(["(1 2 3 4 5)"], cap=3)
+    monkeypatch.setattr(finitegroup, "CLOSURE_BYTES", 2000)
+    with pytest.raises(ResourceLimitError, match="exceeds CLOSURE_BYTES = 2000"):
+        congruence_group(2, 5)
 
 
 def test_separation_witness_examples():
@@ -199,6 +261,8 @@ def test_separation_witness_validates():
         separation_witness(((1, 0), (0, 1)))  # identity has no witness
     with pytest.raises(ValueError):
         separation_witness(((2, 0), (0, 1)))  # determinant 2
+    with pytest.raises(ValueError, match="matrix must be square"):
+        separation_witness(((1, 0, 0), (0, 1, 0)))
 
 
 def test_separation_witness_definition():
@@ -306,3 +370,7 @@ def test_cap_is_checked_per_layer_before_commit():
 def test_matrix_group_needs_positive_size():
     with pytest.raises(ValueError):
         generate_group([], modulus=3, degree=0)
+    with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+        generate_group([((1, 1), (0, 1))], modulus=1)
+    with pytest.raises(ValueError, match="with no generators needs a degree"):
+        generate_group([], modulus=3)

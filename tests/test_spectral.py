@@ -150,6 +150,8 @@ def test_kesten_profile_validates_radii():
         kesten_profile(Coset(0, IDENTITY), gens, (3, 1))
     with pytest.raises(ValueError):
         kesten_profile(Coset(0, IDENTITY), gens, ())
+    with pytest.raises(ValueError, match="radii must be >= 0, got -1"):
+        kesten_profile(Coset(0, IDENTITY), gens, [-1, 2])
     # a plain list of generators is made a GenSet, and checked as one
     assert kesten_profile(Coset(0, IDENTITY), list(gens), (1, 2)).estimates == \
         kesten_profile(Coset(0, IDENTITY), gens, (1, 2)).estimates
@@ -314,6 +316,8 @@ def test_delta_invariance_identity_words():
     assert devs[parse_word("e")] == 0.0
     with pytest.raises(ValueError):
         delta_invariance_check([])
+    with pytest.raises(TypeError, match="expected Word, got str"):
+        delta_invariance_check(["x1"])
 
 
 def test_reiter_search_shift_only():
