@@ -16,14 +16,10 @@ the timestamped metadata block so identical inputs give byte-identical output.
 """
 
 import argparse
-import csv
-import datetime
-import json
+import gc
 import math
 import os
 import sys
-from pathlib import Path
-from typing import List, Optional
 
 from . import __version__
 from .errors import ResourceLimitError
@@ -50,7 +46,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _parse_radii(text: str, cap: int, k: int) -> List[int]:
+def _parse_radii(text: str, cap: int, k: int) -> list[int]:
     """Radii literal: comma-separated integers and lo..hi ranges, e.g.
     "1..10" or "1,2,5" or "1,3..6,10"; must be strictly increasing.
 
@@ -58,7 +54,7 @@ def _parse_radii(text: str, cap: int, k: int) -> List[int]:
     2 max(r, k) + 1 nodes, so a radius whose ball cannot fit the node cap
     is rejected before its range is expanded or the generators are built.
     """
-    radii: List[int] = []
+    radii: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -96,7 +92,9 @@ def _parse_matrix(text: str):
 
 
 def _emit(report: dict, args) -> None:
+    import json
     if not args.no_meta:
+        import datetime
         report = dict(report)
         report["meta"] = {
             "tool": "cosetlab",
@@ -105,7 +103,8 @@ def _emit(report: dict, args) -> None:
         }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
         print(f"report written to {args.out}")
     else:
         print(text)
@@ -129,6 +128,7 @@ def _cmd_kesten(args) -> dict:
     profile = cli.kesten_profile(cli.Coset(0, cli.IDENTITY), gens, radii, cap=args.cap)
     limit = math.sqrt(2 * args.k - 1) / args.k
     if args.csv:
+        import csv
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["radius", "estimate"])
@@ -165,7 +165,7 @@ def _cmd_reiter(args) -> dict:
 
 
 def _cmd_reciprocity(args) -> dict:
-    path = Path(args.suite) if args.suite else cli.default_suite_path()
+    path = args.suite or cli.default_suite_path()
     try:
         result = cli.run_suite(path)
     except cli.SuiteFormatError as exc:
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -331,4 +331,10 @@ def console_main() -> None:
     process starts one BLAS thread unless the user chose a count."""
     if not any(var in os.environ for var in BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    raise SystemExit(main())
+    code = main()
+    # The process is about to exit: frozen objects are skipped by shutdown's
+    # collection and teardown, which free a heap the OS reclaims anyway.
+    # atexit handlers and stream flushes still run.  Not in `main`: a host
+    # process would keep every object out of the collector for good.
+    gc.freeze()
+    raise SystemExit(code)

@@ -28,7 +28,7 @@ breadth-first search.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._lazy import lazy_import
 from ._table import _Table
@@ -188,7 +188,7 @@ class OrbitBall:
         """Index of generators[gen] applied to node i, or -1 if out of ball."""
         return int(self.gen_images[gen][i])
 
-    def find(self, c: Coset) -> Optional[int]:
+    def find(self, c: Coset) -> int | None:
         """Index of the node c, or None outside the ball.  Interns nothing."""
         offset = c.level - self.base.level
         if not -LEVEL_LIMIT < offset < LEVEL_LIMIT:
@@ -327,7 +327,7 @@ def h_orbit_partition(
     gens: Sequence[GElement],
     radius: int,
     cap: int = 2_000_000,
-) -> Dict[int, OrbitBall]:
+) -> dict[int, OrbitBall]:
     """Orbit balls of Coset(n, e) for each level n in window, under
     generators of shift 0.
 
@@ -342,7 +342,7 @@ def h_orbit_partition(
                 f"generator {format_gelement(g)} has nonzero shift; "
                 "the level partition needs shift-0 generators"
             )
-    out: Dict[int, OrbitBall] = {}
+    out: dict[int, OrbitBall] = {}
     for n in window:
         n = int(n)
         ball = orbit_ball(Coset(n, IDENTITY), gens, radius, cap=cap)

@@ -233,28 +233,30 @@ class FiniteGroup:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def _value_of(self, row: list):
+        """An element value from its row as a list: a permutation tuple, or
+        a matrix as a tuple of row tuples."""
+        return tuple(row) if self.kind == "perm" else tuple(map(tuple, row))
+
     @cached_property
     def elements(self) -> list:
-        """Element values in enumeration order: permutation tuples, or
-        matrices as tuples of row tuples."""
-        if self.kind == "perm":
-            return list(map(tuple, self._rows.tolist()))
-        return [tuple(map(tuple, v)) for v in self._rows.tolist()]
+        """Element values in enumeration order."""
+        return list(map(self._value_of, self._rows.tolist()))
 
     @property
     def identity(self):
-        return self.elements[0]
+        return self.element(0)
 
     def element(self, i: int):
-        return self.elements[i]
+        return self._value_of(self._rows[i].tolist())
 
     def index_of(self, value) -> int:
         """The index of an element value, found in the row table: a row of
         the group's row shape whose entries equal the value's (1.0 is 1)."""
         with suppress(TypeError, ValueError, OverflowError, KeyError):
             obj = np.array([value], object)
-            row = np.array([[int(x) for x in obj.flat]], self._rows.dtype)
-            if obj.shape[1:] == self._rows.shape[1:] and row[0].tolist() == list(obj.flat):
+            row = np.array([int(x) for x in obj.flat], self._rows.dtype).reshape(obj.shape)
+            if obj.shape[1:] == self._rows.shape[1:] and row.ravel().tolist() == list(obj.flat):
                 return int(self._find(row)[0])
         raise ValueError(f"{value!r} is not an element of this group")
 
@@ -265,7 +267,10 @@ class FiniteGroup:
         return False
 
     def _find(self, rows: np.ndarray) -> np.ndarray:
-        """Element indices of a stack of rows, or KeyError if one is absent."""
+        """Element indices of a stack of rows, or KeyError if one is absent
+        or the stack's row shape or dtype is not the group's."""
+        if rows.shape[1:] != self._rows.shape[1:] or rows.dtype != self._rows.dtype:
+            raise KeyError("rows of another shape or dtype are not elements of this group")
         ids = self._row_index.get(_keys(rows, self.modulus))
         if (ids < 0).any():
             raise KeyError("a row is not an element of this group")

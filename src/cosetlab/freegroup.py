@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, groupby, repeat
-from typing import Iterable, Tuple
+from collections.abc import Iterable
 
 from .errors import ResourceLimitError
 
@@ -32,7 +32,7 @@ class Word:
 
     __slots__ = ("letters", "_hash")
 
-    def __init__(self, letters: Iterable[Tuple[int, int]] = ()):
+    def __init__(self, letters: Iterable[tuple[int, int]] = ()):
         letters = _checked(letters)
         for a, b in zip(letters, letters[1:]):
             if a[0] == b[0] and a[1] == -b[1]:
@@ -59,7 +59,7 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
-def _checked(letters: Iterable[Tuple[int, int]]) -> tuple:
+def _checked(letters: Iterable[tuple[int, int]]) -> tuple:
     """Letters as int pairs, each exponent checked to be +1 or -1."""
     letters = tuple((int(i), int(e)) for (i, e) in letters)
     for (_, e) in letters:
@@ -80,7 +80,7 @@ def _word(letters: list) -> Word:
 IDENTITY = Word(())
 
 
-def _cancel(out: list, letters: Iterable[Tuple[int, int]]) -> Word:
+def _cancel(out: list, letters: Iterable[tuple[int, int]]) -> Word:
     """Push checked letters onto the reduced prefix out, each cancelling
     against the last letter kept; letter tuples are kept by reference, so a
     run of one letter costs a pointer per letter."""
@@ -92,7 +92,7 @@ def _cancel(out: list, letters: Iterable[Tuple[int, int]]) -> Word:
     return _word(out)
 
 
-def reduce(raw: Iterable[Tuple[int, int]]) -> Word:
+def reduce(raw: Iterable[tuple[int, int]]) -> Word:
     """Free-reduce a letter sequence; idempotent on already-reduced input."""
     return _cancel([], _checked(raw))
 
@@ -199,7 +199,7 @@ def _check_letters(size: int, what: str) -> None:
         )
 
 
-def _word_tokens(text: str) -> Tuple[list, int]:
+def _word_tokens(text: str) -> tuple[list, int]:
     """The checked (index, exponent) tokens of a word literal, unexpanded
     (none for `e`), and the number of letters they expand to."""
     tokens = text.split()
@@ -239,7 +239,7 @@ def format_word(u: Word) -> str:
     return " ".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in runs)
 
 
-def _split_gelement(text: str) -> Tuple[int, str]:
+def _split_gelement(text: str) -> tuple[int, str]:
     """The shift of an element literal and its word literal."""
     s = text.strip()
     m = _T_RE.match(s)

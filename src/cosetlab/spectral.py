@@ -14,9 +14,9 @@ comes with the test extra, not with the runtime dependencies.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from ._lazy import lazy_import
 from .cosets import Coset, OrbitBall, act, orbit_ball
@@ -98,13 +98,12 @@ def free_generator_set(k: int) -> GenSet:
     return GenSet(elems)
 
 
-class MarkovOperator(NamedTuple):
+class MarkovOperator(namedtuple("MarkovOperator", "counts denominator")):
     """A symmetric substochastic operator on an orbit-ball basis, with exact
-    rational entries: an integer-count CSR matrix over a common denominator
-    (the generator multiset size)."""
+    rational entries: an integer-count CSR matrix (counts) over a common
+    denominator (the generator multiset size)."""
 
-    counts: "scipy.sparse.csr_matrix"
-    denominator: int
+    __slots__ = ()
 
     @property
     def matrix(self) -> "scipy.sparse.csr_matrix":
@@ -218,7 +217,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
-def _top_eigenpair(apply, x: np.ndarray, precondition) -> Tuple[float, np.ndarray]:
+def _top_eigenpair(apply, x: np.ndarray, precondition) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the symmetric operator apply, by single-vector
     LOBPCG (Knyazev 2001) from x (updated in place): Rayleigh-Ritz on
     span{x, r, p}, with r the residual of x and p the previous step.  Unless
@@ -260,7 +259,7 @@ def _top_eigenpair(apply, x: np.ndarray, precondition) -> Tuple[float, np.ndarra
     return _dot(x, apply(x)) / _dot(x, x), x
 
 
-def _ritz(basis, images, xx: float, xmx: float) -> Optional[np.ndarray]:
+def _ritz(basis, images, xx: float, xmx: float) -> np.ndarray | None:
     """Coefficients of the top Ritz vector in the span of basis (images
     holds M of each vector; xx = x.x and xmx = x.Mx for the first), or None
     when the Gram matrix has lost rank."""
@@ -281,8 +280,7 @@ def _ritz(basis, images, xx: float, xmx: float) -> Optional[np.ndarray]:
     return scale * (ortho @ ritz)
 
 
-class SpectralProfile(NamedTuple("SpectralProfile", [
-        ("radii", Tuple[int, ...]), ("estimates", Tuple[float, ...]), ("generators", str)])):
+class SpectralProfile(namedtuple("SpectralProfile", "radii estimates generators")):
     """Certified lower bounds on the Markov operator norm, per ball radius."""
 
     __slots__ = ()
@@ -296,7 +294,7 @@ class SpectralProfile(NamedTuple("SpectralProfile", [
                 raise ValueError(f"estimates decrease: {a} then {b}")
         return super().__new__(cls, radii, estimates, generators)
 
-    def rows(self) -> Tuple[Tuple[int, float], ...]:
+    def rows(self) -> tuple[tuple[int, float], ...]:
         return tuple(zip(self.radii, self.estimates))
 
 
@@ -350,8 +348,8 @@ def kesten_profile(
 
 def delta_invariance_check(
     S: Iterable[Word],
-    level: Optional[int] = None,
-) -> Tuple[int, Dict[Word, float]]:
+    level: int | None = None,
+) -> tuple[int, dict[Word, float]]:
     """Exact invariance of the basis vector at Coset(level, e) under the
     shift-0 elements (0, s) for s in S.
 
@@ -390,11 +388,11 @@ class ReiterCertificate:
             raise ValueError(f"max deviation {self.max_deviation} exceeds epsilon {epsilon}")
 
     @property
-    def deviation_squared(self) -> Dict[GElement, Fraction]:
+    def deviation_squared(self) -> dict[GElement, Fraction]:
         return {g: Fraction(2 * m, self.window_size) for g, m in self.moved.items()}
 
     @property
-    def deviations(self) -> Dict[GElement, float]:
+    def deviations(self) -> dict[GElement, float]:
         # float(2m/N) and sqrt are correctly rounded and rounding is monotone,
         # so 2m/N <= epsilon^2 exactly gives sqrt <= sqrt(fl(epsilon^2)) = epsilon.
         return {g: math.sqrt(q) for g, q in self.deviation_squared.items()}
@@ -403,7 +401,7 @@ class ReiterCertificate:
     def max_deviation(self) -> float:
         return max(self.deviations.values())
 
-    def recompute_deviations(self) -> Dict[GElement, float]:
+    def recompute_deviations(self) -> dict[GElement, float]:
         """Recount every m by acting on each window coset; must reproduce
         the deviations."""
         lo, hi = self.window_start, self.window_start + self.window_size

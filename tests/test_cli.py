@@ -1,5 +1,7 @@
 """Command-line front end: reports, exit codes, determinism."""
 
+import gc
+import importlib.util
 import io
 import itertools
 import json
@@ -525,8 +527,13 @@ def test_console_main_starts_one_blas_thread_unless_the_user_chose(monkeypatch, 
         else:
             monkeypatch.setenv(var, value)
     monkeypatch.setattr(cli, "main", lambda: 0)
+    frozen = gc.get_freeze_count()
     with pytest.raises(SystemExit):
         cli.console_main()
+    # the process entry point freezes the heap before it exits; thaw it, so
+    # the test process keeps collecting
+    assert gc.get_freeze_count() > frozen
+    gc.unfreeze()
     expected = dict(zip(cli.BLAS_THREAD_VARS, preset))
     if preset == (None, None, None):
         expected["OPENBLAS_NUM_THREADS"] = "1"
@@ -559,6 +566,51 @@ def test_cli_process_runs_one_thread_unless_the_user_chose():
     threads, value = _blas_probe(OPENBLAS_NUM_THREADS="2")
     assert value == "2"
     assert threads == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_library_use_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "congruence", "2", "3", "--no-meta")[0] == 0
+    assert run(capsys, "--version")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_cli_process_writes_complete_files_before_its_frozen_exit(capsys, tmp_path):
+    argv = ["kesten", "-k", "1", "--radii", "1..3", "--no-meta"]
+    # buffered stdout, so that an exit that skipped the flush would lose it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(suite.__file__).parents[1])
+    got = subprocess.run([sys.executable, "-m", "cosetlab", *argv, "--csv", "F", "--out", "G"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (got.returncode, got.stdout, got.stderr) == (0, "report written to G\n", "")
+    assert len((tmp_path / "F").read_text().splitlines()) == 4
+    assert json.loads((tmp_path / "G").read_text()) == run_json(capsys, *argv)[1]
+
+
+_STDLIB_LOADED_ON_USE = ("csv", "datetime", "json", "pathlib", "typing")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--version"], set()),
+    (["kesten", "-k", "two"], set()),
+    (["reiter", "t", "--epsilon", "0.5", "--no-meta"], {"json"}),
+])
+def test_a_cli_run_imports_only_the_stdlib_it_uses(argv, loaded):
+    # -S: no site hook or .pth file imports anything first; numpy's
+    # directory is on the path so that a lazy import can find it
+    np_dir = Path(importlib.util.find_spec("numpy").origin).parents[1]
+    probe = (
+        "import sys\n"
+        "from cosetlab.cli import main\n"
+        "main(sys.argv[1:])\n"
+        f"print('loaded:', *[m for m in {_STDLIB_LOADED_ON_USE!r} if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(suite.__file__).parents[1]), str(np_dir)]))
+    got = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    last = got.stdout.splitlines()[-1].split()
+    assert last[0] == "loaded:" and set(last[1:]) == loaded, got.stderr
 
 
 def test_library_use_leaves_the_environment_alone():

@@ -4,6 +4,7 @@ linear machinery."""
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -148,6 +149,40 @@ def test_a_list_value_is_looked_up_as_its_tuple():
     s3 = registry()["s3"]
     assert s3.contains_value([1, 0, 2])
     assert s3.index_of([1, 0, 2]) == s3.index_of((1, 0, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_group([(1, 0, 2, 3), (1, 2, 3, 0)]),
+    lambda: congruence_group(2, 3),
+])
+def test_one_element_is_read_from_its_row(monkeypatch, make):
+    expected = make().elements
+
+    def refuse(self):
+        raise AssertionError("the tuple view was built")
+
+    monkeypatch.setattr(FiniteGroup, "elements", property(refuse))
+    g = make()
+    assert g.identity == expected[0]
+    assert [g.element(i) for i in range(len(g))] == expected
+    assert g.element(-1) == expected[-1]
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[1]], np.uint8),
+    np.array([[1, 0, 0]], np.uint8),
+    np.array([[[1, 0]]], np.uint8),
+    np.array([[1, 0]], np.int8),
+    np.array([[1, 0]], np.int64),
+    np.array([[1, 0]], object),
+])
+def test_row_lookup_refuses_another_row_shape_or_dtype(rows):
+    # numpy drops trailing NUL bytes when it compares the row keys, so
+    # [1] and [1, 0, 0] would otherwise be found as the row [1, 0]
+    s2 = generate_group([(1, 0)])
+    assert s2._find(np.array([[1, 0]], np.uint8)).tolist() == [1]
+    with pytest.raises(KeyError):
+        s2._find(rows)
 
 
 def test_a_subgroup_builds_no_tuple_view_of_its_parent():
