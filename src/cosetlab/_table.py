@@ -27,8 +27,9 @@ class _Table:
     one-key array `key` for id 0, whose dtype all keys share: keys[i] is the
     key of id i, and a sorted index maps keys back to ids.  Keys numbered
     since the last commit() are pending until commit() merges them in, once
-    per layer (a merge costs the size of the table); rollback() forgets them.
-    A commit with none pending, as at the end of a closure, trims keys."""
+    per layer (a merge costs the size of the table); rollback() forgets them
+    (an orbit ball's outer layer, for multi-letter words).  A commit with none
+    pending, as at the end of a closure, trims keys."""
 
     __slots__ = ("_keys", "main", "new")
 

@@ -22,7 +22,8 @@ Coset and act never run it.  The images of a layer's nodes are computed for
 all generators at once, in slices of a fixed number of (parent, generator)
 pairs; unseen images become new nodes, numbered by first occurrence in
 (parent, generator) order, which is the order of a node-by-node
-breadth-first search.
+breadth-first search.  The outer layer numbers no node, and looks each
+image's tail up at its last letter: an unseen tail is outside the ball.
 """
 
 from __future__ import annotations
@@ -127,14 +128,14 @@ def _check_index(jmax: int) -> None:
         )
 
 
-def _prepend(tails: _Table, cur: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Ids of the reduced words code[k] . cur[k].  A tail's key is its first
-    letter code << 32 | the id of the rest; the empty word, id 0, has code
-    -1, which matches no letter."""
+def _prepend(tails: _Table, cur: np.ndarray, code: np.ndarray, find) -> np.ndarray:
+    """Ids of the reduced words code[k] . cur[k], by find: tails.number, or
+    tails.get (-1 if unseen).  A tail's key is its first letter code << 32 |
+    the id of the rest; the empty word, id 0, has code -1, matching no letter."""
     key = tails.keys[cur]
     out = key & _LOW
     fresh = np.flatnonzero(key >> 32 != code ^ 1)
-    out[fresh] = tails.number((code[fresh] << 32) | cur[fresh])
+    out[fresh] = find((code[fresh] << 32) | cur[fresh])
     if len(tails) > TAIL_LIMIT:
         raise ValueError(f"orbit ball needs more than TAIL_LIMIT = {TAIL_LIMIT} interned tails")
     return out
@@ -212,11 +213,13 @@ class OrbitBall:
 def _expand(tails, nodes, shifts, letters, keys, out, number):
     """Images of the nodes with the given keys under every generator, in
     (parent, generator) order, numbered by number (nodes.number) and written
-    to out (generators x nodes).  On the outer layer number is None: unseen
-    images are -1, and the tails numbered for them are rolled back."""
+    to out (generators x nodes).  On the outer layer number is None, unseen
+    images are -1, and the last letter looks each tail up: an unseen tail
+    needs no node lookup.  Earlier letters number theirs, since a later one
+    may cancel an unseen tail, and roll them back."""
     lvl = (keys >> 32) - LEVEL_LIMIT
     cur = np.repeat(keys & _LOW, len(shifts))
-    for offset, negative in letters:
+    for d, (offset, negative) in enumerate(letters):
         code = offset - lvl[:, None]  # j, then 2j + (exponent < 0) in place
         code <<= 1
         code += negative
@@ -225,18 +228,21 @@ def _expand(tails, nodes, shifts, letters, keys, out, number):
         if len(at):
             code = code[at]
             _check_index(int(code.max()) >> 1)
-            cur[at] = _prepend(tails, cur[at], code)
+            last = number is None and d == len(letters) - 1
+            cur[at] = _prepend(tails, cur[at], code, tails.get if last else tails.number)
     key = (lvl[:, None] + shifts).ravel()
     if max(int(key.max()), -int(key.min())) >= LEVEL_LIMIT:
         raise ValueError(
             f"orbit ball spans more than LEVEL_LIMIT = {LEVEL_LIMIT} levels from its base")
     key += LEVEL_LIMIT
     key <<= 32
-    key |= cur
+    key |= cur  # -1 where the tail is unseen
     del cur
     if number is None:
-        uniq, inv = np.unique(key, return_inverse=True)  # sorted: a fast lookup
-        ids = nodes.get(uniq)[inv]
+        ids = np.full(len(key), -1)
+        known = np.flatnonzero(key >= 0)
+        uniq, inv = np.unique(key[known], return_inverse=True)  # sorted: a fast lookup
+        ids[known] = nodes.get(uniq)[inv]
         tails.rollback()
     else:
         ids = number(key)
@@ -288,7 +294,7 @@ def orbit_ball(
     for (i, e) in reversed(base.tail.letters):
         j = i - base.level
         _check_index(j)
-        tid = int(_prepend(tails, np.array([tid]), np.array([2 * j + (e < 0)]))[0])
+        tid = int(_prepend(tails, np.array([tid]), np.array([2 * j + (e < 0)]), tails.number)[0])
     tails.commit()
     nodes = _Table(np.array([LEVEL_LIMIT << 32 | tid], np.int64))  # the base coset
     layer = nodes.keys  # the keys of the nodes at distance d

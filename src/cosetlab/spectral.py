@@ -2,11 +2,12 @@
 
 Markov averaging operators of symmetric generator multisets, certified
 spectral-radius lower bounds by a matrix-free LOBPCG on a ball's generator
-images (preconditioned by the exact factor of I - M wherever the ball is a
-tree apart from loops), exact invariance checks for single basis vectors, and
-almost-invariant (Reiter) vectors: uniform on a window of cosets along the
-shift direction, with their deviations in closed form as exact rationals
-2m/N.  numpy, imported lazily, runs only for the solve and the operator.
+images (preconditioned by the exact factor of cI - M, c just above the top
+eigenvalue, wherever the ball is a tree apart from loops), exact invariance
+checks for single basis vectors, and almost-invariant (Reiter) vectors:
+uniform on a window of cosets along the shift direction, with deviations in
+closed form as exact rationals 2m/N.  numpy, imported lazily, runs only for
+the solve and the operator.
 scipy is needed only by markov_operator, the sparse-matrix referee; it
 comes with the test extra, not with the runtime dependencies.
 """
@@ -184,18 +185,18 @@ def _walk(form, n: int, size: int):
     return apply
 
 
-def _tree_solve(form, ends: Sequence[int], size: int):
-    """r -> (I - M)^-1 r, in place, for M the walk of size generators on the
+def _tree_solve(form, ends: Sequence[int], size: int, c: float = 1.0):
+    """r -> (cI - M)^-1 r, in place, for M the walk of size generators on the
     prefix of ends[-1] nodes, ends[d] of them within distance d: the exact
-    factor of I - M on a tree apart from loops, eliminated from the outer
+    factor of cI - M on a tree apart from loops, eliminated from the outer
     layer inward, so with no fill-in.  None if the prefix has a cross edge
-    or a pivot is <= 0 (then I - M is not positive definite)."""
+    or a pivot is <= 0 (then c is at most the top eigenvalue of M)."""
     parent, joins, loops, (rows, cols) = form
     n = ends[-1]
     if ((rows < n) & (cols < n)).any():
         return None
     # link[i]: M's entry between node i and its parent, then that over i's pivot
-    link, pivot = joins[:n] / size, 1.0 - loops[:n] / size
+    link, pivot = joins[:n] / size, c - loops[:n] / size
     layers = [(ends[d - 1], ends[d]) for d in range(len(ends) - 1, 0, -1)]
     for lo, hi in layers:  # a layer's pivots are final once its children are out
         link[lo:hi] /= pivot[lo:hi]
@@ -221,8 +222,8 @@ def _top_eigenpair(apply, x: np.ndarray, precondition) -> tuple[float, np.ndarra
     """Largest eigenvalue of the symmetric operator apply, by single-vector
     LOBPCG (Knyazev 2001) from x (updated in place): Rayleigh-Ritz on
     span{x, r, p}, with r the residual of x and p the previous step.  Unless
-    precondition is None, it maps r in place to (I - M)^-1 r, or to an
-    approximation of it: that steers the search and never enters the bound.
+    precondition is None, it maps r in place to (cI - M)^-1 r, c above the
+    top eigenvalue: that steers the search and never enters the bound.
 
     Returns (x.Mx / x.x, x) for the best iterate x, with Mx a fresh product.
     A step is kept only if it raises that quotient, so the 3x3 arithmetic
@@ -313,10 +314,12 @@ def kesten_profile(
     Each estimate is the Rayleigh quotient of an explicit vector, from a
     LOBPCG solve on the in-ball generator images that starts from |x| of the
     previous radius, padded with its minimum, and preconditioned by the exact
-    factor of I - M (_tree_solve) where the ball is a tree apart from loops,
-    as it is for free sets; a ball with a cycle runs without.  By eigenvalue
-    interlacing every earlier estimate stays a valid lower bound, so the
-    profile is nondecreasing by construction.
+    factor of cI - M (_tree_solve) where the ball is a tree apart from loops,
+    as it is for free sets; a ball with a cycle runs without.  From the third
+    radius on, c is the last estimate plus twice its last gain, just above
+    the top eigenvalue, or 1 where that is not below 1 or not above it.  By
+    eigenvalue interlacing every earlier estimate stays a valid lower bound,
+    so the profile is nondecreasing by construction.
     """
     if not isinstance(gens, GenSet):
         gens = GenSet(gens)
@@ -338,8 +341,10 @@ def kesten_profile(
     for r in radii:
         start = np.full(ends[r], np.abs(x).min())
         start[: x.size] = np.abs(x)
+        c = min(1.0, 3 * estimates[-1] - 2 * estimates[-2]) if len(estimates) > 1 else 1.0
+        solve = _tree_solve(form, ends[: r + 1], len(gens), c)  # None: c <= top eigenvalue
         est, x = _top_eigenpair(_walk(form, ends[r], len(gens)), start,
-                                _tree_solve(form, ends[: r + 1], len(gens)))
+                                solve or _tree_solve(form, ends[: r + 1], len(gens)))
         # A lower bound at radius r is a lower bound at every larger radius
         # (ball compressions interlace), so the running maximum is certified.
         estimates.append(max(est, 0.0, *estimates[-1:]))

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cosetlab import cosets
 from cosetlab.cosets import (
@@ -243,6 +243,11 @@ def ball_inputs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(ball_inputs(), st.sampled_from([1, 5, cosets.SLICE_PAIRS]))
+# x0 makes an unseen tail, x-1 is skipped at level -1, and x0^-1 cancels
+# back to e: the outer layer's images are [[0], [0]], loops, though the
+# intermediate tail is in no ball
+@example((Coset(-1, IDENTITY),
+          GenSet.symmetrized([parse_gelement("(0; x0^-1 x-1 x0)")]).elements, 0), 1)
 def test_orbit_ball_matches_reference_bfs(inputs, slice_pairs):
     # small slices number one layer's nodes and tails across many slices
     base, gens, radius = inputs
@@ -261,22 +266,31 @@ def test_orbit_ball_matches_reference_bfs(inputs, slice_pairs):
 
 def test_orbit_ball_rejects_unpackable_codes():
     x = parse_gelement(f"x{2**70}")
-    with pytest.raises(ValueError, match="INDEX_LIMIT"):
-        orbit_ball(Coset(0, IDENTITY), [x, g_inv(x)], 1)
     t = parse_gelement(f"t^{2**40}")
-    with pytest.raises(ValueError, match="LEVEL_LIMIT"):
-        orbit_ball(Coset(0, IDENTITY), [t, g_inv(t)], 1)
+    for radius in (0, 1):  # at radius 0 the base's images are only looked up
+        with pytest.raises(ValueError, match="INDEX_LIMIT"):
+            orbit_ball(Coset(0, IDENTITY), [x, g_inv(x)], radius)
+        with pytest.raises(ValueError, match="LEVEL_LIMIT"):
+            orbit_ball(Coset(0, IDENTITY), [t, g_inv(t)], radius)
 
 
 def test_orbit_ball_checks_the_tail_limit(monkeypatch):
-    # radius 2 of the rank-2 free orbit numbers the 1 + 4 + 12 + 36 tails of
-    # radius 3 before it rolls back the outer 36
-    gens = tuple(free_generator_set(2))
-    monkeypatch.setattr(cosets, "TAIL_LIMIT", 53)
-    assert len(orbit_ball(Coset(0, IDENTITY), gens, 2)) == 17
-    monkeypatch.setattr(cosets, "TAIL_LIMIT", 52)
-    with pytest.raises(ValueError, match="TAIL_LIMIT = 52"):
-        orbit_ball(Coset(0, IDENTITY), gens, 2)
+    cases = [
+        # one-letter words: the outer layer looks its tails up, so radius 2
+        # of the rank-2 free orbit interns only its own 1 + 4 + 12 tails
+        (("x1", "x2"), 17, 17, 17),
+        # the first letters of x1 x2 and its inverse number two tails of the
+        # outer layer, in no ball, besides the radius-2 ball's own 9
+        (("x1 x2",), 5, 9, 11),
+    ]
+    for words, nodes, tails, limit in cases:
+        gens = GenSet.symmetrized(map(parse_gelement, words)).elements
+        monkeypatch.setattr(cosets, "TAIL_LIMIT", limit)
+        ball = orbit_ball(Coset(0, IDENTITY), gens, 2)
+        assert (len(ball), len(ball._tails)) == (nodes, tails)
+        monkeypatch.setattr(cosets, "TAIL_LIMIT", limit - 1)
+        with pytest.raises(ValueError, match=f"TAIL_LIMIT = {limit - 1}"):
+            orbit_ball(Coset(0, IDENTITY), gens, 2)
 
 
 def test_orbit_ball_huge_radius_stops_at_cap_or_orbit_end():

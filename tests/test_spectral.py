@@ -187,6 +187,10 @@ def kesten_inputs(draw):
           (0, 1, 3)))  # the identity is its own partner
 @example((Coset(0, IDENTITY), GenSet.symmetrized(map(parse_gelement, ("x1", "x2", "x1 x2"))),
           (0, 1, 2, 3)))  # cycles: no tree factor from radius 1 on
+@example((Coset(0, IDENTITY), free_generator_set(2), (1, 2, 3, 4, 5, 6)))  # the shifted factor
+# 3 e(6) - 2 e(5) = 0.99293 is below the r=30 top eigenvalue 0.99872: the
+# shifted factor has a negative pivot, and the solve falls back to c = 1
+@example((Coset(0, IDENTITY), free_generator_set(1), (5, 6, 30)))
 def test_kesten_profile_matches_dense_eigenvalues(inputs):
     base, gens, radii = inputs
     profile = kesten_profile(base, gens, radii)
@@ -239,14 +243,19 @@ def test_tree_factor_inverts_i_minus_m_on_a_ball_with_loops():
     ball, form, ends = _tree_form(T_X0, 5)
     dense = markov_operator(ball).matrix.toarray()
     assert dense.diagonal().any()  # x0 fixes some nodes
+    top = float(np.linalg.eigvalsh(dense)[-1])
     rng = np.random.default_rng(5)
-    for r in (0, 3, 5):  # each prefix is factored with its own boundary
-        n = ends[r]
-        solve = spectral._tree_solve(form, ends[: r + 1], len(T_X0))
-        v = rng.standard_normal(n)
-        rhs = v - dense[:n, :n] @ v
-        solve(rhs)
-        assert np.abs(rhs - v).max() < 1e-12
+    for c in (1.0, top + 1e-6):  # the factor of cI - M, c above every prefix's top
+        for r in (0, 3, 5):  # each prefix is factored with its own boundary
+            n = ends[r]
+            solve = spectral._tree_solve(form, ends[: r + 1], len(T_X0), c)
+            v = rng.standard_normal(n)
+            rhs = c * v - dense[:n, :n] @ v
+            solve(rhs)
+            # cI - M has condition number about 1 / (c - top)
+            assert np.abs(rhs - v).max() < max(1e-12, 1e-16 / (c - top))
+    # below the top eigenvalue cI - M is indefinite: a pivot is negative
+    assert spectral._tree_solve(form, ends, len(T_X0), top - 1e-6) is None
 
 
 def test_tree_factor_refuses_a_ball_with_cycles():
@@ -257,8 +266,6 @@ def test_tree_factor_refuses_a_ball_with_cycles():
 
 
 def test_tree_factor_cuts_the_matvecs_of_the_shift_profile(monkeypatch):
-    # 436 products without the factor: the top two eigenvalues of the r=12
-    # ball, 0.98850 and 0.98224, lie close together
     real, calls = spectral._walk, []
 
     def counted(*args):
@@ -266,10 +273,23 @@ def test_tree_factor_cuts_the_matvecs_of_the_shift_profile(monkeypatch):
         return lambda v: calls.append(None) or apply(v)
 
     monkeypatch.setattr(spectral, "_walk", counted)
-    profile = kesten_profile(Coset(0, IDENTITY), T_X0, range(1, 13))
-    # the r=12 top eigenvalue in perfbench/reference.json
-    assert profile.estimates[-1] == pytest.approx(0.9885030151951841, abs=1e-12)
-    assert len(calls) <= 150
+    cases = [
+        # 436 products without the factor: the top two eigenvalues of the
+        # r=12 ball, 0.98850 and 0.98224, lie close together.  The r=12 top
+        # eigenvalue is the one in perfbench/reference.json.
+        (T_X0, range(1, 13), 0.9885030151951841, 150),
+        # 78 products with the factor of I - M, whose top eigenvalue at r=10
+        # is 0.84: LOBPCG took 10 steps at each of r = 8, 9 and 10
+        (free_generator_set(2), range(1, 11), radial_oracle(10), 66),
+        # c = 0.99293 is below the top eigenvalue of the r=30 path, cos(pi/62):
+        # 70 products if that radius ran with no factor instead of c = 1
+        (free_generator_set(1), (5, 6, 30), math.cos(math.pi / 62), 30),
+    ]
+    for gens, radii, top, most in cases:
+        calls.clear()
+        profile = kesten_profile(Coset(0, IDENTITY), gens, radii)
+        assert profile.estimates[-1] == pytest.approx(top, abs=1e-12)
+        assert len(calls) <= most
 
 
 def test_shift_profile_traced_peak_is_bounded():
