@@ -2,9 +2,10 @@
 
 Exact arithmetic in the free group on integer-indexed generators and the
 semidirect product with the index shift; canonical coset forms and orbit
-balls; Kesten-style spectral lower bounds and Reiter almost-invariance
-certificates; and exact character reciprocity on finite groups, including
-special-linear congruence quotients.
+balls; exact invariance and Reiter almost-invariance certificates, in plain
+Python; Kesten-style spectral lower bounds on orbit balls; and exact
+character reciprocity on finite groups, including special-linear
+congruence quotients.
 
 The public names resolve on first access, so importing the package loads
 none of its submodules, and a run loads only those it uses.
@@ -19,8 +20,8 @@ _EXPORTS = {
     "gamma_member minimal_level parse_gelement parse_literals parse_word reduce retract "
     "shift_word w_inv w_mul",
     "cosets": "Coset OrbitBall act h_orbit_partition normal_form orbit_ball",
-    "spectral": "GenSet ReiterCertificate SpectralProfile delta_invariance_check "
-    "free_generator_set kesten_profile markov_operator reiter_search",
+    "invariance": "GenSet ReiterCertificate delta_invariance_check reiter_search",
+    "spectral": "SpectralProfile free_generator_set kesten_profile markov_operator",
     "finitegroup": "ConjugacyClass FiniteGroup Subgroup congruence_group generate_group "
     "separation_witness special_linear_order",
     "characters": "Character coset_permutation_character frobenius_check induce_character "

@@ -351,16 +351,21 @@ class Subgroup(FiniteGroup):
 
     @cached_property
     def _coset_data(self) -> Tuple[Tuple[int, ...], List[int]]:
-        """Left coset representatives, and each parent element's coset."""
+        """Left coset representatives (each its coset's least parent index),
+        and each parent element's coset.  A round finds the cosets of the
+        least unplaced elements, as many as SLICE_PRODUCTS and the unplaced
+        allow; each is a representative if it is its coset's least member,
+        since every smaller unplaced element is in the round too."""
         parent = self.parent
         cid = np.full(len(parent), -1, dtype=np.intp)
         reps: List[int] = []
-        for pi in range(len(parent)):
-            if cid[pi] >= 0:
-                continue
-            coset = parent._find(parent._op(parent._rows[pi:pi + 1], self._rows))
-            cid[coset] = len(reps)
-            reps.append(pi)
+        while (todo := np.flatnonzero(cid < 0)).size:
+            todo = todo[:max(1, min(SLICE_PRODUCTS, len(todo)) // len(self))]
+            ids = parent._find(parent._op(parent._rows[todo, None], self._rows[None])
+                               .reshape((-1,) + self._rows.shape[1:])).reshape(len(todo), -1)
+            first = ids.min(axis=1) == todo
+            cid[ids[first]] = np.arange(len(reps), len(reps) + first.sum())[:, None]
+            reps.extend(todo[first].tolist())
         return tuple(reps), cid.tolist()
 
     @property

@@ -480,8 +480,8 @@ def test_each_run_loads_only_the_modules_it_uses(modules_loaded):
                               "characters", "suite"}, argv
     for argv in [("reiter", "t", "--epsilon", "0.5"), ("eymard-verify", "x1")]:
         modules, dataclasses = runs[argv]
-        assert "spectral" in modules and not dataclasses, argv
-        assert not modules & {"finitegroup", "characters", "suite"}, argv
+        assert modules == {"cli", "errors", "freegroup", "invariance"}, argv
+        assert not dataclasses, argv
     modules, _ = runs["congruence", "2", "3"]
     assert "finitegroup" in modules and not modules & {"spectral", "cosets"}
     # a usage error loads no module it does not run

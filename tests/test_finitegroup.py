@@ -370,6 +370,41 @@ def test_closure_matches_reference_bfs_on_matrix_groups(slice_products):
             _assert_matches_reference(g, g.subgroup(sub_gens))
 
 
+def _cosets_one_at_a_time(sub):
+    """Transversal and coset ids by one `_find` per coset, in parent order."""
+    parent = sub.parent
+    cid = np.full(len(parent), -1, dtype=np.intp)
+    reps = []
+    for pi in range(len(parent)):
+        if cid[pi] < 0:
+            cid[parent._find(parent._op(parent._rows[pi:pi + 1], sub._rows))] = len(reps)
+            reps.append(pi)
+    return tuple(reps), cid.tolist()
+
+
+@pytest.mark.parametrize("slice_products", [1, 7, finitegroup.SLICE_PRODUCTS])
+def test_batched_cosets_match_one_coset_at_a_time(slice_products):
+    sl27 = congruence_group(2, 7)
+    subs = [sub for sub in registry().values() if isinstance(sub, Subgroup)] + [
+        sl27.subgroup(gens) for gens in (
+            [], [((1, 1), (0, 1))], [((3, 0), (0, 5))], [((6, 0), (0, 6))],
+            [((1, 1), (0, 1)), ((3, 0), (0, 5))], [((0, 6), (1, 0))])]
+    with mock.patch.object(finitegroup, "SLICE_PRODUCTS", slice_products):
+        for sub in subs:  # the registry's groups are shared: bypass their cache
+            reps, cid = Subgroup._coset_data.func(sub)
+            assert (reps, cid) == _cosets_one_at_a_time(sub)
+            assert len(reps) == sub.index_in_parent
+
+
+def test_transversal_of_a_large_index_takes_one_lookup_per_slice():
+    g = congruence_group(2, 31)
+    trivial = g.subgroup([])
+    with mock.patch.object(g, "_find", wraps=g._find) as find:
+        assert trivial.transversal == tuple(range(len(g)))
+    assert len(g) == 29_760 <= finitegroup.SLICE_PRODUCTS
+    assert find.call_count == 1
+
+
 def test_closure_with_entries_beyond_64_bits():
     # signed cyclic rotations of the cube mod 10^30: products of entries
     # near 10^30 overflow every fixed-width integer type

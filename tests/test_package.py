@@ -15,8 +15,8 @@ PUBLIC = {
     "gamma_member minimal_level parse_gelement parse_literals parse_word reduce retract "
     "shift_word w_inv w_mul",
     "cosets": "Coset OrbitBall act h_orbit_partition normal_form orbit_ball",
-    "spectral": "GenSet ReiterCertificate SpectralProfile delta_invariance_check "
-    "free_generator_set kesten_profile markov_operator reiter_search",
+    "invariance": "GenSet ReiterCertificate delta_invariance_check reiter_search",
+    "spectral": "SpectralProfile free_generator_set kesten_profile markov_operator",
     "finitegroup": "ConjugacyClass FiniteGroup Subgroup congruence_group generate_group "
     "separation_witness special_linear_order",
     "characters": "Character coset_permutation_character frobenius_check induce_character "
@@ -64,3 +64,16 @@ def test_public_namespace_in_a_fresh_process():
     assert public <= set(report["dir"])
     assert report["not_the_same"] == []
     assert report["missing_name"] == "ImportError"
+
+
+def test_invariance_loads_no_numpy_and_no_kesten_module():
+    # the Reiter and invariance half of the package runs in plain Python
+    env = dict(os.environ, PYTHONPATH=str(Path(cosetlab.__file__).parents[1]))
+    probe = "import json, sys, cosetlab.invariance; print(json.dumps(sorted(sys.modules)))"
+    got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    loaded = set(json.loads(got.stdout))
+    assert not any(m == "numpy" or m.startswith("numpy.") for m in loaded)
+    assert {m for m in loaded if m.startswith("cosetlab.")} == {
+        "cosetlab.errors", "cosetlab.freegroup", "cosetlab.invariance"}
