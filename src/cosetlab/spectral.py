@@ -135,9 +135,11 @@ def _tree_solve(form, ends: Sequence[int], size: int, c: float = 1.0):
     link, pivot = joins[:n] / size, c - loops[:n] / size
     layers = [(ends[d - 1], ends[d]) for d in range(len(ends) - 1, 0, -1)]
     for lo, hi in layers:  # a layer's pivots are final once its children are out
+        if not (pivot[lo:hi] > 0.0).all():  # a pivot <= 0: stop before dividing by it
+            return None
         link[lo:hi] /= pivot[lo:hi]
         pivot[:lo] -= np.bincount(parent[lo:hi], link[lo:hi] * joins[lo:hi] / size, lo)
-    if not (pivot > 0.0).all():  # only the base's can be: any other subtree leaks
+    if not (pivot > 0.0).all():  # the base's, the last to be final
         return None
 
     def solve(r):

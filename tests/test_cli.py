@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cosetlab
-from cosetlab import cli, suite
+from cosetlab import _lazy, cli, suite
 from cosetlab._lazy import lazy_import
 from cosetlab.cli import main
 from cosetlab.finitegroup import special_linear_order
@@ -540,24 +540,52 @@ def test_console_main_starts_one_blas_thread_unless_the_user_chose(monkeypatch, 
     assert {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS} == expected
 
 
-def _blas_probe(**preset):
-    """Threads alive at exit of `python -m cosetlab congruence 2 3`, and the
-    OPENBLAS_NUM_THREADS it ran with, given only `preset` of the BLAS
+_CLI_RUN = (
+    "sys.argv = ['cosetlab', 'congruence', '2', '3', '--no-meta']\n"
+    "runpy.run_module('cosetlab', run_name='__main__', alter_sys=True)\n"
+)
+# kesten_profile through the library on Coset(0, e) under t, x0; it checks
+# that os.environ is as it found it and that numpy keeps its own loader
+_LIBRARY_RUN = (
+    "import importlib.util, json, os\n"
+    "environ, own = dict(os.environ), type(importlib.util.find_spec('numpy').loader)\n"
+    "from cosetlab import Coset, GenSet, IDENTITY, kesten_profile, parse_gelement\n"
+    "gens = GenSet.symmetrized([parse_gelement('t'), parse_gelement('x0')])\n"
+    "profile = kesten_profile(Coset(0, IDENTITY), gens, range(1, {radius} + 1))\n"
+    "import numpy\n"
+    "assert dict(os.environ) == environ, 'environment changed'\n"
+    "assert type(numpy.__spec__.loader) is own and numpy.__loader__ is numpy.__spec__.loader\n"
+    "print(json.dumps(list(profile.estimates)))\n"
+)
+
+
+def _fresh_run(code, **preset):
+    """`code` run by a fresh interpreter that sees only `preset` of the BLAS
     thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(suite.__file__).parents[1]))
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    return got
+
+
+def _blas_probe(run=_CLI_RUN, first="", **preset):
+    """Threads alive at exit of `run` (by default `python -m cosetlab
+    congruence 2 3`) with the statement `first` run before it, and the
+    OPENBLAS_NUM_THREADS it ended with (None if unset), given only `preset`
+    of the BLAS thread variables."""
     probe = (
         "import atexit, os, runpy, sys\n"
         "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), "
         "os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr))\n"
-        "sys.argv = ['cosetlab', 'congruence', '2', '3', '--no-meta']\n"
-        "runpy.run_module('cosetlab', run_name='__main__', alter_sys=True)\n"
+        f"{first}\n{run}"
     )
-    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
-    env.update(preset, PYTHONPATH=str(Path(suite.__file__).parents[1]))
-    got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert got.returncode == 0 and json.loads(got.stdout)["order_bfs"] == 24
+    got = _fresh_run(probe, **preset)
+    if run is _CLI_RUN:
+        assert json.loads(got.stdout)["order_bfs"] == 24
     threads, value = got.stderr.split()
-    return int(threads), value
+    return int(threads), None if value == "None" else value
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -566,6 +594,47 @@ def test_cli_process_runs_one_thread_unless_the_user_chose():
     threads, value = _blas_probe(OPENBLAS_NUM_THREADS="2")
     assert value == "2"
     assert threads == min(2, len(os.sched_getaffinity(0)))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_numpy_loaded_by_a_library_run_starts_one_thread_unless_the_user_chose():
+    shift = _LIBRARY_RUN.format(radius=4)
+    assert _blas_probe(shift) == (1, None)
+    assert _blas_probe(shift, OPENBLAS_NUM_THREADS="2") == (
+        min(2, len(os.sched_getaffinity(0))), "2")
+    # numpy imported before cosetlab keeps its own thread count
+    assert _blas_probe(shift, first="import numpy") == _blas_probe("import numpy\n")
+
+
+def test_blas_thread_count_never_enters_the_estimates():
+    shift = _LIBRARY_RUN.format(radius=10)
+    one, two = (json.loads(_fresh_run(shift, OPENBLAS_NUM_THREADS=n).stdout) for n in "12")
+    assert len(one) == 10 and one == two
+
+
+def test_the_lazy_loader_sets_one_blas_thread_only_while_it_loads(monkeypatch, tmp_path):
+    # the module records the value its load ran with
+    (tmp_path / "cosetlab_probe_mod.py").write_text(
+        "import os\nseen = os.environ.get('OPENBLAS_NUM_THREADS')\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "cosetlab_probe_mod", raising=False)
+    for var in _lazy.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    own = type(importlib.util.find_spec("cosetlab_probe_mod").loader)
+    module = lazy_import("cosetlab_probe_mod")
+    assert "OPENBLAS_NUM_THREADS" not in os.environ  # not set before the load
+    assert module.seen == "1" and "OPENBLAS_NUM_THREADS" not in os.environ
+    assert type(module.__spec__.loader) is own and module.__loader__ is module.__spec__.loader
+    # a count the user chose is left to them
+    monkeypatch.delitem(sys.modules, "cosetlab_probe_mod")
+    monkeypatch.setenv("GOTO_NUM_THREADS", "4")
+    assert lazy_import("cosetlab_probe_mod").seen is None
+    assert os.environ.get("GOTO_NUM_THREADS") == "4" and "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_blas_thread_vars_are_the_same_in_the_cli_and_the_lazy_loader():
+    # cli keeps its own copy: a CLI run that builds no arrays loads no _lazy
+    assert cli.BLAS_THREAD_VARS == _lazy.BLAS_THREAD_VARS
 
 
 def test_library_use_leaves_the_collector_alone(capsys):

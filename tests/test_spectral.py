@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,24 @@ def test_tree_factor_refuses_a_ball_with_cycles():
     _, form, ends = _tree_form(gens, 3)
     assert spectral._tree_solve(form, ends[:1], len(gens)) is not None  # the base alone
     assert spectral._tree_solve(form, ends, len(gens)) is None
+
+
+def test_tree_factor_stops_at_a_bad_pivot_before_it_divides():
+    # at c = 0 the outer layer of the loop-free k=2 ball has zero pivots:
+    # dividing by them first warned of a division by zero
+    gens = free_generator_set(2)
+    ball, form, ends = _tree_form(gens, 4)
+    dense = markov_operator(ball).matrix.toarray()
+    top = float(np.linalg.eigvalsh(dense)[-1])
+    v = np.random.default_rng(2).standard_normal(len(dense))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (0.0, -1.0, top / 2, top - 1e-6):  # cI - M is not positive definite
+            assert spectral._tree_solve(form, ends, len(gens), c) is None
+        for c in (top + 1e-6, 1.0):
+            rhs = c * v - dense @ v
+            spectral._tree_solve(form, ends, len(gens), c)(rhs)
+            assert np.abs(rhs - v).max() < max(1e-12, 1e-16 / (c - top))
 
 
 def test_tree_factor_cuts_the_matvecs_of_the_shift_profile(monkeypatch):
