@@ -1,11 +1,13 @@
-"""Deferred import of numpy: a subcommand that builds no arrays never runs
-it, and numpy loaded here starts one BLAS thread unless a count is chosen."""
+"""numpy as `np`, run on its first attribute access, so a subcommand that builds
+no arrays never runs it.  Here alone cosetlab loads numpy and sets its BLAS
+threads (see _OneBlasThread); numpy loaded before cosetlab is used as it is."""
 
 import importlib.util
 import os
 import sys
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # as in cli
+# OpenBLAS reads these when numpy first loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class _OneBlasThread:
@@ -27,15 +29,11 @@ class _OneBlasThread:
                 del os.environ["OPENBLAS_NUM_THREADS"]
 
 
-def lazy_import(name: str):
-    """The module `name` (the loaded one, if any), executed on its first
-    attribute access; from then on it is a plain module."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
+np = sys.modules.get("numpy")
+if np is None:
+    spec = importlib.util.find_spec("numpy")
     if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
     spec.loader = importlib.util.LazyLoader(_OneBlasThread(spec.loader))
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(np)

@@ -4,9 +4,7 @@ fixed-width row bytes, an array of keys at a time."""
 
 from __future__ import annotations
 
-from ._lazy import lazy_import
-
-np = lazy_import("numpy")
+from ._lazy import np
 
 
 def _lookup(table, q: np.ndarray) -> np.ndarray:

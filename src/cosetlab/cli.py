@@ -18,7 +18,6 @@ the timestamped metadata block so identical inputs give byte-identical output.
 import argparse
 import gc
 import math
-import os
 import sys
 
 from . import __version__
@@ -322,15 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
 
 
-# OpenBLAS reads these when numpy first loads (lazily, after this module).
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def console_main() -> None:
-    """Process entry point.  cosetlab makes no threaded BLAS call, so the
-    process starts one BLAS thread unless the user chose a count."""
-    if not any(var in os.environ for var in BLAS_THREAD_VARS):
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    """Process entry point: exits with the code of `main`.  numpy's BLAS
+    threads are set where numpy loads, in _lazy, as for library use."""
     code = main()
     # The process is about to exit: frozen objects are skipped by shutdown's
     # collection and teardown, which free a heap the OS reclaims anyway.

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 from collections.abc import Iterable, Sequence
 
-from ._lazy import lazy_import
+from ._lazy import np
 from ._table import _Table
 from .errors import ResourceLimitError
 from .freegroup import (
@@ -43,8 +43,6 @@ from .freegroup import (
     g_mul,
     retract,
 )
-
-np = lazy_import("numpy")
 
 
 class Coset:

@@ -20,11 +20,9 @@ from contextlib import suppress
 from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ._lazy import lazy_import
+from ._lazy import np
 from ._table import _Table
 from .errors import ResourceLimitError
-
-np = lazy_import("numpy")
 
 Perm = Tuple[int, ...]
 

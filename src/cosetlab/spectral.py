@@ -1,12 +1,11 @@
-"""Kesten-style norm lower bounds on coset orbit balls.
+"""Kesten-style norm estimates on coset orbit balls.
 
-Markov averaging operators of symmetric generator multisets, and certified
-spectral-radius lower bounds by a matrix-free LOBPCG on a ball's generator
-images (preconditioned by the exact factor of cI - M, c just above the top
-eigenvalue, wherever the ball is a tree apart from loops).  numpy, imported
-lazily, runs only for the solve and the operator.
-scipy is needed only by markov_operator, the sparse-matrix referee; it
-comes with the test extra, not with the runtime dependencies.
+Markov averaging operators of symmetric generator multisets, and float
+estimates of spectral-radius lower bounds by a matrix-free LOBPCG on a ball's
+generator images (preconditioned by the exact factor of cI - M, c just above
+the top eigenvalue, wherever the ball is a tree apart from loops).  numpy
+runs only for the solve and the operator; scipy only for markov_operator, the
+sparse-matrix referee, and it comes with the test extra, not the runtime.
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from ._lazy import lazy_import
+from ._lazy import np
 # act, minimal_level and the invariance names stay bound for callers and perfbench/tracer.py
 from .cosets import Coset, OrbitBall, act, orbit_ball
 from .freegroup import GElement, format_gelement, minimal_level, parse_word
 from .invariance import GenSet, ReiterCertificate, delta_invariance_check, reiter_search
-
-np = lazy_import("numpy")
 
 
 def free_generator_set(k: int) -> GenSet:
@@ -220,7 +217,7 @@ def _ritz(basis, images, xx: float, xmx: float) -> np.ndarray | None:
 
 
 class SpectralProfile(namedtuple("SpectralProfile", "radii estimates generators")):
-    """Certified lower bounds on the Markov operator norm, per ball radius."""
+    """Per-radius lower bounds on the Markov operator norm, as floats that may round above it."""
 
     __slots__ = ()
 
@@ -284,6 +281,6 @@ def kesten_profile(
         est, x = _top_eigenpair(_walk(form, ends[r], len(gens)), start,
                                 solve or _tree_solve(form, ends[: r + 1], len(gens)))
         # A lower bound at radius r is a lower bound at every larger radius
-        # (ball compressions interlace), so the running maximum is certified.
+        # (ball compressions interlace), so the running maximum is one too.
         estimates.append(max(est, 0.0, *estimates[-1:]))
     return SpectralProfile(radii, tuple(estimates), gens.describe())

@@ -210,7 +210,10 @@ def _run_entry(ln: int, obj: dict, reg, base_dir: Path) -> EntryResult:
         if spec == "trivial":
             chi = Character.trivial(F)
         elif type(spec) is int:
-            chi = irreducibles(obj["subgroup"])[spec]
+            table = irreducibles(obj["subgroup"])
+            if not 0 <= spec < len(table):
+                raise ValueError(f"bad character spec {spec}: want 0..{len(table) - 1}")
+            chi = table[spec]
         else:
             raise ValueError(f"bad character spec {spec!r}")
         ok = stages_check(G, H, F, chi)

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import cosetlab
 from cosetlab import _lazy, cli, suite
-from cosetlab._lazy import lazy_import
 from cosetlab.cli import main
 from cosetlab.finitegroup import special_linear_order
 from cosetlab.freegroup import MAX_WORD_LETTERS
@@ -448,8 +447,16 @@ def modules_loaded():
 
 
 def test_lazy_import_of_a_missing_module_fails_at_once():
-    with pytest.raises(ModuleNotFoundError):
-        lazy_import("cosetlab_no_such_module")
+    # numpy is deferred, but a missing numpy fails the import of its user
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import cosetlab.cosets\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+    )
+    assert _fresh_run(probe).stdout == "numpy\n"
 
 
 def test_no_subcommand_loads_scipy(modules_loaded):
@@ -521,7 +528,8 @@ def test_handlers_call_what_the_cli_module_holds(capsys, monkeypatch, name, argv
 
 @pytest.mark.parametrize("preset", list(itertools.product((None, "3"), repeat=3)))
 def test_console_main_starts_one_blas_thread_unless_the_user_chose(monkeypatch, preset):
-    for var, value in zip(cli.BLAS_THREAD_VARS, preset):
+    # the entry point leaves the BLAS thread count to numpy's loader
+    for var, value in zip(_lazy.BLAS_THREAD_VARS, preset):
         if value is None:
             monkeypatch.delenv(var, raising=False)
         else:
@@ -534,10 +542,7 @@ def test_console_main_starts_one_blas_thread_unless_the_user_chose(monkeypatch, 
     # the test process keeps collecting
     assert gc.get_freeze_count() > frozen
     gc.unfreeze()
-    expected = dict(zip(cli.BLAS_THREAD_VARS, preset))
-    if preset == (None, None, None):
-        expected["OPENBLAS_NUM_THREADS"] = "1"
-    assert {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS} == expected
+    assert tuple(os.environ.get(var) for var in _lazy.BLAS_THREAD_VARS) == preset
 
 
 _CLI_RUN = (
@@ -562,7 +567,7 @@ _LIBRARY_RUN = (
 def _fresh_run(code, **preset):
     """`code` run by a fresh interpreter that sees only `preset` of the BLAS
     thread variables."""
-    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in _lazy.BLAS_THREAD_VARS}
     env.update(preset, PYTHONPATH=str(Path(suite.__file__).parents[1]))
     got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
@@ -590,7 +595,7 @@ def _blas_probe(run=_CLI_RUN, first="", **preset):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_cli_process_runs_one_thread_unless_the_user_chose():
-    assert _blas_probe() == (1, "1")
+    assert _blas_probe() == (1, None)
     threads, value = _blas_probe(OPENBLAS_NUM_THREADS="2")
     assert value == "2"
     assert threads == min(2, len(os.sched_getaffinity(0)))
@@ -617,24 +622,22 @@ def test_the_lazy_loader_sets_one_blas_thread_only_while_it_loads(monkeypatch, t
     (tmp_path / "cosetlab_probe_mod.py").write_text(
         "import os\nseen = os.environ.get('OPENBLAS_NUM_THREADS')\n")
     monkeypatch.syspath_prepend(str(tmp_path))
-    monkeypatch.delitem(sys.modules, "cosetlab_probe_mod", raising=False)
     for var in _lazy.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    own = type(importlib.util.find_spec("cosetlab_probe_mod").loader)
-    module = lazy_import("cosetlab_probe_mod")
-    assert "OPENBLAS_NUM_THREADS" not in os.environ  # not set before the load
-    assert module.seen == "1" and "OPENBLAS_NUM_THREADS" not in os.environ
-    assert type(module.__spec__.loader) is own and module.__loader__ is module.__spec__.loader
+
+    def load():
+        spec = importlib.util.find_spec("cosetlab_probe_mod")
+        own, spec.loader = type(spec.loader), _lazy._OneBlasThread(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert type(module.__spec__.loader) is own and module.__loader__ is module.__spec__.loader
+        return module
+
+    assert load().seen == "1" and "OPENBLAS_NUM_THREADS" not in os.environ
     # a count the user chose is left to them
-    monkeypatch.delitem(sys.modules, "cosetlab_probe_mod")
     monkeypatch.setenv("GOTO_NUM_THREADS", "4")
-    assert lazy_import("cosetlab_probe_mod").seen is None
+    assert load().seen is None
     assert os.environ.get("GOTO_NUM_THREADS") == "4" and "OPENBLAS_NUM_THREADS" not in os.environ
-
-
-def test_blas_thread_vars_are_the_same_in_the_cli_and_the_lazy_loader():
-    # cli keeps its own copy: a CLI run that builds no arrays loads no _lazy
-    assert cli.BLAS_THREAD_VARS == _lazy.BLAS_THREAD_VARS
 
 
 def test_library_use_leaves_the_collector_alone(capsys):
@@ -692,10 +695,8 @@ def test_library_use_leaves_the_environment_alone():
         "    main(['congruence', '2', '3', '--no-meta'])\n"
         "print(before == dict(os.environ))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
-    got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert got.stdout.split() == ["True"]
+    # none of the BLAS thread variables set, so numpy's loader sets one
+    assert _fresh_run(probe).stdout.split() == ["True"]
 
 
 _exponents = st.one_of(

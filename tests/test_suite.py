@@ -134,3 +134,17 @@ def test_stages_rejects_a_boolean_character_spec(tmp_path):
     result = run_suite(p)
     assert not result.passed
     assert "bad character spec" in result.entries[0].details["error"]
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_stages_rejects_a_character_index_outside_the_table(tmp_path, index):
+    # -1 is not chi2, counted from the end; c3_in_s3 has chi0, chi1, chi2
+    p = tmp_path / "stages.jsonl"
+    p.write_text(
+        '{"kind": "stages", "group": "s3", "mid": "c3_in_s3", '
+        f'"subgroup": "c3_in_s3", "character": {index}}}\n'
+    )
+    result = run_suite(p)
+    assert not result.passed
+    error = result.entries[0].details["error"]
+    assert error == f"bad character spec {index}: want 0..2"
