@@ -3,9 +3,11 @@
 Markov averaging operators of symmetric generator multisets, and float
 estimates of spectral-radius lower bounds by a matrix-free LOBPCG on a ball's
 generator images (preconditioned by the exact factor of cI - M, c just above
-the top eigenvalue, wherever the ball is a tree apart from loops).  numpy
-runs only for the solve and the operator; scipy only for markov_operator, the
-sparse-matrix referee, and it comes with the test extra, not the runtime.
+the top eigenvalue, wherever the ball is a tree apart from loops; such a
+ball is solved on its class tree, an equitable partition of its nodes with
+the same top eigenvalue).  numpy runs only for the solve and the operator;
+scipy only for markov_operator, the sparse-matrix referee, and it comes with
+the test extra, not the runtime.
 """
 
 from __future__ import annotations
@@ -98,6 +100,52 @@ def _edges(gens: GenSet, images):
     return parent, joins, loops, (rows[keep], cols[keep])
 
 
+def _classes(form, ends: Sequence[int]):
+    """Each node's class in a ball that is a tree apart from loops (form from
+    _edges, ends[d] nodes within distance d), and the class prefix sizes.  Two
+    nodes share a class when their parents do and their subtrees have the
+    same shape: joins, loops and the multiset of their children's shapes.
+    All members of a class at depth r lose their children together, so the
+    partition is equitable on every prefix, and classes are numbered by depth."""
+    parent, joins, loops = form[:3]
+    cls, top, bounds = np.zeros(len(parent), np.int64), np.iinfo(np.int64).max, [0, *ends]
+    for d in range(len(ends) - 1, -1, -1):  # shapes, outer layer first
+        lo, hi, nxt = bounds[d], bounds[d + 1], bounds[min(d + 2, len(ends))]
+        key = joins[lo:hi].astype(np.int64) << 32 | loops[lo:hi]  # counts below 2^32
+        base = int(cls[hi:nxt].max(initial=-1)) + 2
+        kids = np.sort((parent[hi:nxt] - lo) * base + cls[hi:nxt])  # by parent, then shape
+        up, shape = kids // base, kids % base
+        place = np.arange(len(up)) - np.searchsorted(up, up)
+        for j in range(int(place.max(initial=-1)) + 1):  # one digit per child place, 0 if none
+            if key.max() > top // base - 1:  # the next digit could overflow: re-rank
+                key = np.unique(key, return_inverse=True)[1]
+            key *= base
+            at = place == j
+            key[up[at]] += shape[at] + 1
+        cls[lo:hi] = np.unique(key, return_inverse=True)[1]
+    cends = [1]
+    for lo, hi in zip(ends, ends[1:]):  # then (parent's class, shape), inner layer first
+        key = cls[parent[lo:hi]] * (int(cls[lo:hi].max(initial=0)) + 1) + cls[lo:hi]
+        cls[lo:hi] = cends[-1] + np.unique(key, return_inverse=True)[1]
+        cends.append(int(cls[lo:hi].max(initial=cends[-1] - 1)) + 1)
+    return cls, cends
+
+
+def _quotient(form, ends: Sequence[int]):
+    """The walk of form (from _edges) folded by its classes (_classes), in
+    _edges' shape, with the class prefix sizes and √ of the class sizes n.
+    Q = D^½ B D^-½, for B the quotient of M and D = diag(n), is symmetric,
+    has M's top eigenvalue, and z.Qz / z.z is the Rayleigh quotient of the
+    lift D^-½ z on M: a class's joins become j √(n / n of its parent class)."""
+    parent, joins, loops = form[:3]
+    cls, ends = _classes(form, ends)
+    n = np.bincount(cls)
+    first = np.empty(len(n), np.intp)
+    first[cls] = np.arange(len(cls))  # a member of each class
+    up = cls[parent[first]]
+    return (up, joins[first] * np.sqrt(n / n[up]), loops[first], form[3]), ends, np.sqrt(n)
+
+
 def _walk(form, n: int, size: int):
     """v -> Mv for the walk of size generators compressed to the first n
     nodes, from its form in _edges: over size, a node's sum over its parent,
@@ -130,20 +178,22 @@ def _tree_solve(form, ends: Sequence[int], size: int, c: float = 1.0):
         return None
     # link[i]: M's entry between node i and its parent, then that over i's pivot
     link, pivot = joins[:n] / size, c - loops[:n] / size
-    layers = [(ends[d - 1], ends[d]) for d in range(len(ends) - 1, 0, -1)]
-    for lo, hi in layers:  # a layer's pivots are final once its children are out
+    # (start of the parents' layer, start, end) of each layer, outer first
+    layers = list(zip([0, 0, *ends], [0, *ends], ends))[:0:-1]
+    for up, lo, hi in layers:  # a layer's pivots are final once its children are out
         if not (pivot[lo:hi] > 0.0).all():  # a pivot <= 0: stop before dividing by it
             return None
         link[lo:hi] /= pivot[lo:hi]
-        pivot[:lo] -= np.bincount(parent[lo:hi], link[lo:hi] * joins[lo:hi] / size, lo)
+        fold = link[lo:hi] * joins[lo:hi] / size
+        pivot[up:lo] -= np.bincount(parent[lo:hi] - up, fold, lo - up)
     if not (pivot > 0.0).all():  # the base's, the last to be final
         return None
 
     def solve(r):
-        for lo, hi in layers:  # fold each layer into its parents, outer first
-            r[:lo] += np.bincount(parent[lo:hi], link[lo:hi] * r[lo:hi], lo)
+        for up, lo, hi in layers:  # fold each layer into its parents, outer first
+            r[up:lo] += np.bincount(parent[lo:hi] - up, link[lo:hi] * r[lo:hi], lo - up)
         r /= pivot
-        for lo, hi in reversed(layers):  # then each layer from its parents
+        for _, lo, hi in reversed(layers):  # then each layer from its parents
             r[lo:hi] += link[lo:hi] * r[parent[lo:hi]]
     return solve
 
@@ -250,7 +300,10 @@ def kesten_profile(
     LOBPCG solve on the in-ball generator images that starts from |x| of the
     previous radius, padded with its minimum, and preconditioned by the exact
     factor of cI - M (_tree_solve) where the ball is a tree apart from loops,
-    as it is for free sets; a ball with a cycle runs without.  From the third
+    as it is for free sets; a ball with a cycle runs without.  A ball with no
+    cross edge is solved on its class tree (_quotient): z there
+    stands for the node vector D^-½ z, with the same Rayleigh quotient, and
+    its prefixes are the balls of smaller radius.  From the third
     radius on, c is the last estimate plus twice its last gain, just above
     the top eigenvalue, or 1 where that is not below 1 or not above it.  By
     eigenvalue interlacing every earlier estimate stays a valid lower bound,
@@ -272,10 +325,16 @@ def kesten_profile(
     del ball  # the solver reads only the images: free the node and tail tables
     form = _edges(gens, images)
     del images
+    if len(form[3][0]):  # a cross edge: solve on the nodes
+        root = np.ones(ends[-1])
+    else:  # a tree apart from loops: solve on its class tree
+        form, ends, root = _quotient(form, ends)
     estimates, x = [], np.ones(1)  # the base node alone
     for r in radii:
-        start = np.full(ends[r], np.abs(x).min())
-        start[: x.size] = np.abs(x)
+        y = np.abs(x) / root[: x.size]  # |x| lifted to the nodes
+        start = np.full(ends[r], y.min())
+        start[: x.size] = y
+        start *= root[: ends[r]]
         c = min(1.0, 3 * estimates[-1] - 2 * estimates[-2]) if len(estimates) > 1 else 1.0
         solve = _tree_solve(form, ends[: r + 1], len(gens), c)  # None: c <= top eigenvalue
         est, x = _top_eigenpair(_walk(form, ends[r], len(gens)), start,

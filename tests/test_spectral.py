@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cosetlab import spectral
 from cosetlab.cosets import Coset, orbit_ball
@@ -192,6 +192,9 @@ def kesten_inputs(draw):
 # 3 e(6) - 2 e(5) = 0.99293 is below the r=30 top eigenvalue 0.99872: the
 # shifted factor has a negative pivot, and the solve falls back to c = 1
 @example((Coset(0, IDENTITY), free_generator_set(1), (5, 6, 30)))
+# a one-node orbit (x0 fixes the base coset): every layer past 0 is empty,
+# and the class pass once took the max of one; each estimate is 1.0
+@example((Coset(0, IDENTITY), GenSet.symmetrized([parse_gelement("x0")]), (1, 2, 5)))
 def test_kesten_profile_matches_dense_eigenvalues(inputs):
     base, gens, radii = inputs
     profile = kesten_profile(base, gens, radii)
@@ -234,8 +237,8 @@ def test_kesten_profile_traced_peak_is_bounded():
 T_X0 = GenSet.symmetrized([parse_gelement("t"), parse_gelement("x0")])
 
 
-def _tree_form(gens, radius):
-    ball = orbit_ball(Coset(0, IDENTITY), gens.elements, radius)
+def _tree_form(gens, radius, base=Coset(0, IDENTITY)):
+    ball = orbit_ball(base, gens.elements, radius)
     form = spectral._edges(gens, ball.gen_images)
     return ball, form, [ball.prefix_size(d) for d in range(radius + 1)]
 
@@ -289,26 +292,76 @@ def test_tree_factor_cuts_the_matvecs_of_the_shift_profile(monkeypatch):
 
     def counted(*args):
         apply = real(*args)
-        return lambda v: calls.append(None) or apply(v)
+        return lambda v: calls.append(v.size) or apply(v)
 
     monkeypatch.setattr(spectral, "_walk", counted)
     cases = [
         # 436 products without the factor: the top two eigenvalues of the
         # r=12 ball, 0.98850 and 0.98224, lie close together.  The r=12 top
-        # eigenvalue is the one in perfbench/reference.json.
-        (T_X0, range(1, 13), 0.9885030151951841, 150),
+        # eigenvalue is the one in perfbench/reference.json.  The products
+        # run on the class tree: 4,277 classes for 128,649 nodes.
+        (T_X0, range(1, 13), 0.9885030151951841, 150, 4277),
         # 78 products with the factor of I - M, whose top eigenvalue at r=10
-        # is 0.84: LOBPCG took 10 steps at each of r = 8, 9 and 10
-        (free_generator_set(2), range(1, 11), radial_oracle(10), 66),
+        # is 0.84: LOBPCG took 10 steps at each of r = 8, 9 and 10.  A free
+        # ball of radius r has r + 1 classes, one per distance.
+        (free_generator_set(2), range(1, 11), radial_oracle(10), 66, 11),
         # c = 0.99293 is below the top eigenvalue of the r=30 path, cos(pi/62):
         # 70 products if that radius ran with no factor instead of c = 1
-        (free_generator_set(1), (5, 6, 30), math.cos(math.pi / 62), 30),
+        (free_generator_set(1), (5, 6, 30), math.cos(math.pi / 62), 30, 31),
     ]
-    for gens, radii, top, most in cases:
+    for gens, radii, top, most, width in cases:
         calls.clear()
         profile = kesten_profile(Coset(0, IDENTITY), gens, radii)
         assert profile.estimates[-1] == pytest.approx(top, abs=1e-12)
         assert len(calls) <= most
+        assert max(calls) <= width
+
+
+@st.composite
+def tree_inputs(draw):
+    """Small generator sets whose balls are mostly trees apart from loops:
+    shifts, words of up to 3 letters, letters fixing cosets (loops), and a
+    repeated generator (two joins to one parent)."""
+    level = draw(st.integers(-2, 2))
+    letters = st.tuples(st.integers(level - 2, level + 2), st.sampled_from((1, -1)))
+    gens = [GElement(draw(st.integers(-2, 2)), reduce(draw(st.lists(letters, max_size=3))))
+            for _ in range(draw(st.integers(1, 2)))]
+    gens += gens[: draw(st.integers(0, 1))]
+    radii = sorted(set(draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))))
+    return Coset(level, IDENTITY), GenSet.symmetrized(gens), tuple(radii)
+
+
+def _node_classes(form, ends):
+    # every node its own class: _quotient gives back _edges' form, with
+    # joins as floats, and the profile runs LOBPCG on the nodes
+    return np.arange(len(form[0])), list(ends)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_inputs(), st.integers(1, 3))
+def test_class_tree_is_equitable_and_keeps_the_node_estimates(inputs, k):
+    base, gens, radii = inputs
+    _, form, ends = _tree_form(gens, radii[-1], base)
+    assume(not len(form[3][0]))  # a tree apart from loops
+    parent, joins, loops = form[:3]
+    cls, cends = spectral._classes(form, ends)
+    children = [[] for _ in cls]
+    for i in range(1, len(cls)):
+        children[parent[i]].append(cls[i])
+    shapes = {}  # each class's parent class, joins, loops and child classes
+    for i, c in enumerate(cls):
+        shape = (cls[parent[i]], joins[i], loops[i], sorted(children[i]))
+        assert shapes.setdefault(c, shape) == shape
+    for r, n in enumerate(ends):  # the classes within depth r are a prefix
+        assert sorted(set(cls[:n])) == list(range(cends[r]))
+        assert (cls[n:] >= cends[r]).all()
+    free = _tree_form(free_generator_set(k), radii[-1])
+    assert spectral._classes(*free[1:])[1] == list(range(1, radii[-1] + 2))
+    estimates = kesten_profile(base, gens, radii).estimates
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_classes", _node_classes)
+        nodes = kesten_profile(base, gens, radii).estimates
+    assert np.abs(np.subtract(estimates, nodes)).max() <= 1e-12
 
 
 def test_shift_profile_traced_peak_is_bounded():
