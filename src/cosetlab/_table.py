@@ -14,10 +14,15 @@ def _lookup(table, q: np.ndarray) -> np.ndarray:
 
 
 def _merge(table, keys: np.ndarray, vals: np.ndarray):
-    if not len(table[0]):  # the first slice of a layer: no inserts
+    if not len(table[0]):  # the first slice of a layer: nothing to merge
         return keys, vals
-    pos = np.searchsorted(table[0], keys)
-    return np.insert(table[0], pos, keys), np.insert(table[1], pos, vals)
+    # searchsorted, not >: row keys (V dtype) have no comparison ufuncs
+    last = np.searchsorted(table[0], keys[:1])[0] == len(table[0])
+    keys, vals = np.concatenate((table[0], keys)), np.concatenate((table[1], vals))
+    if last:  # the new keys sort after the table's: an append
+        return keys, vals
+    order = np.argsort(keys, kind="stable")  # two sorted runs: one merge pass
+    return keys[order], vals[order]
 
 
 class _Table:
@@ -25,15 +30,24 @@ class _Table:
     one-key array `key` for id 0, whose dtype all keys share: keys[i] is the
     key of id i, and a sorted index maps keys back to ids.  Keys numbered
     since the last commit() are pending until commit() merges them in, once
-    per layer (a merge costs the size of the table); rollback() forgets them
-    (an orbit ball's outer layer, for multi-letter words).  A commit with none
-    pending, as at the end of a closure, trims keys."""
+    per layer; rollback() forgets them (an orbit ball's outer layer, for
+    multi-letter words).  A merge whose keys all sort after the table's
+    appends them; any other merge sorts the two runs together, a pass over
+    the table.  Orbit balls pack their keys so that a layer's new keys mostly
+    sort last (see cosets).  A commit with none pending, as at the end of a
+    closure, trims keys.
+
+    Ids are int32.  An orbit ball raises once it holds more than TAIL_LIMIT
+    = 2^31 tails, and IMAGE_LIMIT = 2^23 bounds its nodes; a group closure
+    raises once it holds more than CLOSURE_BYTES, long before 2^31 rows.
+    Each check follows a batch of at most one slice, so an id that wraps
+    past 2^31 - 1 never outlives the batch that raises."""
 
     __slots__ = ("_keys", "main", "new")
 
     def __init__(self, key: np.ndarray):
         self._keys = key.copy()  # grows by doubling; commit() cuts it to size
-        self.main = (key.copy(), np.zeros(1, np.int64))  # (keys, ids)
+        self.main = (key.copy(), np.zeros(1, np.int32))  # (keys, ids)
         self.rollback()
 
     def __len__(self) -> int:
@@ -59,12 +73,11 @@ class _Table:
     def number(self, q: np.ndarray) -> np.ndarray:
         """The id of each key in q; unseen keys are numbered len(self),
         len(self) + 1, ... by first occurrence in q, and are pending."""
-        uniq, inv = np.unique(q, return_inverse=True)  # sorted: a fast lookup
+        # sorted, for a fast lookup, with each key's first position in q
+        uniq, first, inv = np.unique(q, return_index=True, return_inverse=True)
         ids = self.get(uniq)
         new = np.flatnonzero(ids < 0)
         if len(new):
-            first = np.full(len(uniq), len(q))
-            np.minimum.at(first, inv, np.arange(len(q)))
             order = new[np.argsort(first[new])]
             start, end = len(self), len(self) + len(new)
             if end > len(self._keys):
@@ -82,4 +95,4 @@ class _Table:
             self._keys = self._keys[:len(self)].copy()
 
     def rollback(self) -> None:
-        self.new = (np.empty(0, self._keys.dtype), np.empty(0, np.int64))
+        self.new = (np.empty(0, self._keys.dtype), np.empty(0, np.int32))

@@ -52,8 +52,12 @@ def _parse_radii(text: str, cap: int, k: int) -> list[int]:
     A ball of radius r >= 1 in the free orbit of k generators has at least
     2 max(r, k) + 1 nodes, so a radius whose ball cannot fit the node cap
     is rejected before its range is expanded or the generators are built.
+    So are radii whose solves cannot fit the profile's SOLVE_LIMIT: the
+    solve at radius r costs at least 2 (r + 1), as that ball has r + 1
+    nonempty layers, each of one class at least.
     """
     radii: list[int] = []
+    need = 0
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -72,6 +76,13 @@ def _parse_radii(text: str, cap: int, k: int) -> list[int]:
                 f"radius {hi} with -k {k} needs at least {2 * max(hi, k) + 1} "
                 f"orbit nodes, above --cap {cap}"
             )
+        from .spectral import SOLVE_LIMIT
+
+        need += (hi + 1) * (hi + 2) - lo * (lo + 1)  # the sum of 2 (r + 1) over lo..hi
+        if need > SOLVE_LIMIT:
+            raise ResourceLimitError(
+                f"radii {text!r} need solve work of at least {need} "
+                f"(layers and prefix entries), above SOLVE_LIMIT = {SOLVE_LIMIT}")
         radii.extend(range(lo, hi + 1))
     return radii
 

@@ -11,12 +11,16 @@ coset's level, as j = index - level >= 1.  The element (s, w) sends
 (L, tail) to (L + s, w' tail), where w' keeps the letters of w above L + s:
 shifting the tail by s moves its letters and its level together, so the
 tail id is unchanged and only the letters of w are prepended.  A tail is
-hash-consed as (first letter code, rest id), with id 0 for the empty word,
+hash-consed as (rest id, first letter code), with id 0 for the empty word,
 so prepending one letter is either a cancellation (the rest) or one lookup
 in the tail table.  Free reduction is confluent, so prepending the kept
 letters of w right to left gives exactly the canonical form of act().
 
-Nodes and tails are each numbered by an int64 _Table (see _table).  Balls
+Nodes and tails are each numbered by an int64 _Table (see _table).  Both
+keys put an id in the high half: a tail's is its rest's id, a node's its
+tail's id.  The tails a layer makes extend tails of the layer before, and
+its nodes mostly end in tails made in that layer, so its new keys mostly
+sort after every key of the table, and merging them in is an append.  Balls
 are built one breadth-first layer at a time with numpy, imported lazily:
 Coset and act never run it.  The images of a layer's nodes are computed for
 all generators at once, in slices of a fixed number of (parent, generator)
@@ -96,19 +100,23 @@ def act(g: GElement, c: Coset) -> Coset:
 
 # Packed codes.  A letter j places above its level with exponent e has code
 # 2j + (e < 0), so code ^ 1 is its inverse.  A tail is keyed by
-# code << 32 | rest id and a coset by (level offset + LEVEL_LIMIT) << 32 |
-# tail id; within these limits both keys fit an int64 exactly.
+# rest id << 32 | code, and the empty word by -1, whose code field 2^32 - 1
+# is no letter's; a coset is keyed by tail id << 32 | (level offset +
+# LEVEL_LIMIT).  Ids in the high half sort a layer's new keys last (see the
+# module docstring); within these limits every other key is a non-negative
+# int64.
 INDEX_LIMIT = 1 << 30  # relative letter index j
 LEVEL_LIMIT = 1 << 30  # |level - base level|
-TAIL_LIMIT = 1 << 32  # interned tail ids
+TAIL_LIMIT = 1 << 31  # interned tail ids
 _LOW = (1 << 32) - 1
 # Shifts and letter offsets are clamped to +-_CLAMP before entering int64;
 # past LEVEL_LIMIT + INDEX_LIMIT the clamped value decides the same tests.
 _CLAMP = 1 << 40
 # (parent, generator) pairs per slice of a BFS layer: bounds the temporaries
 # of a layer's images (about 130 bytes a pair); the node cap is checked
-# after every slice.
-SLICE_PAIRS = 1 << 15
+# after every slice.  Merges that append cost little, so small slices are
+# cheap: 2^13 pairs peaked 1 MB below 2^15 on `kesten -k 2 --radii 1..10`.
+SLICE_PAIRS = 1 << 13
 # Generator images (generators x nodes, int32) a ball may store, checked
 # before each layer; four generators reach the default node cap first.
 IMAGE_LIMIT = 1 << 23
@@ -128,12 +136,12 @@ def _check_index(jmax: int) -> None:
 
 def _prepend(tails: _Table, cur: np.ndarray, code: np.ndarray, find) -> np.ndarray:
     """Ids of the reduced words code[k] . cur[k], by find: tails.number, or
-    tails.get (-1 if unseen).  A tail's key is its first letter code << 32 |
-    the id of the rest; the empty word, id 0, has code -1, matching no letter."""
+    tails.get (-1 if unseen).  A tail's key is the id of the rest << 32 | its
+    first letter code; the empty word, id 0, has key -1, matching no letter."""
     key = tails.keys[cur]
-    out = key & _LOW
-    fresh = np.flatnonzero(key >> 32 != code ^ 1)
-    out[fresh] = find((code[fresh] << 32) | cur[fresh])
+    out = key >> 32
+    fresh = np.flatnonzero(key & _LOW != code ^ 1)
+    out[fresh] = find(cur[fresh] << 32 | code[fresh])
     if len(tails) > TAIL_LIMIT:
         raise ValueError(f"orbit ball needs more than TAIL_LIMIT = {TAIL_LIMIT} interned tails")
     return out
@@ -145,8 +153,8 @@ class OrbitBall:
     Node 0 is the base coset; nodes appear in deterministic breadth-first
     order (parents in node order, generators in the given order), so nodes
     within distance r form a prefix of the node list for every r <= radius.
-    Node i is id i of the node table, whose key packs its level offset from
-    the base level and its tail id (see the module docstring).
+    Node i is id i of the node table, whose key packs its tail id and its
+    level offset from the base level (see the module docstring).
     gen_images is an int32 array with one row per generator; images landing
     outside the ball are boundary marks, stored as -1.
     """
@@ -170,14 +178,14 @@ class OrbitBall:
 
     def node(self, i: int) -> Coset:
         key = int(self._nodes.keys[i])
-        level = self.base.level + (key >> 32) - LEVEL_LIMIT
+        level = self.base.level + (key & _LOW) - LEVEL_LIMIT
         letters = []
-        t = key & _LOW
+        t = key >> 32
         while t:
             key = int(self._tails.keys[t])
-            code = key >> 32
+            code = key & _LOW
             letters.append((level + (code >> 1), -1 if code & 1 else 1))
-            t = key & _LOW
+            t = key >> 32
         return Coset(level, Word(letters))
 
     def distance(self, i: int) -> int:
@@ -197,10 +205,10 @@ class OrbitBall:
             j = i - c.level
             if j >= INDEX_LIMIT:
                 return None
-            t = int(self._tails.get(np.array([(2 * j + (e < 0)) << 32 | t]))[0])
+            t = int(self._tails.get(np.array([t << 32 | (2 * j + (e < 0))]))[0])
             if t < 0:
                 return None
-        i = int(self._nodes.get(np.array([(offset + LEVEL_LIMIT) << 32 | t]))[0])
+        i = int(self._nodes.get(np.array([t << 32 | (offset + LEVEL_LIMIT)]))[0])
         return None if i < 0 else i
 
     def prefix_size(self, r: int) -> int:
@@ -215,8 +223,8 @@ def _expand(tails, nodes, shifts, letters, keys, out, number):
     images are -1, and the last letter looks each tail up: an unseen tail
     needs no node lookup.  Earlier letters number theirs, since a later one
     may cancel an unseen tail, and roll them back."""
-    lvl = (keys >> 32) - LEVEL_LIMIT
-    cur = np.repeat(keys & _LOW, len(shifts))
+    lvl = (keys & _LOW) - LEVEL_LIMIT
+    cur = np.repeat(keys >> 32, len(shifts))
     for d, (offset, negative) in enumerate(letters):
         code = offset - lvl[:, None]  # j, then 2j + (exponent < 0) in place
         code <<= 1
@@ -233,11 +241,11 @@ def _expand(tails, nodes, shifts, letters, keys, out, number):
         raise ValueError(
             f"orbit ball spans more than LEVEL_LIMIT = {LEVEL_LIMIT} levels from its base")
     key += LEVEL_LIMIT
-    key <<= 32
-    key |= cur  # -1 where the tail is unseen
+    cur <<= 32  # negative where the tail is unseen
+    key |= cur
     del cur
     if number is None:
-        ids = np.full(len(key), -1)
+        ids = np.full(len(key), -1, np.int32)
         known = np.flatnonzero(key >= 0)
         uniq, inv = np.unique(key[known], return_inverse=True)  # sorted: a fast lookup
         ids[known] = nodes.get(uniq)[inv]
@@ -287,14 +295,14 @@ def orbit_ball(
                 negative[k] = e < 0
         letters.append((offset, negative))
 
-    tails = _Table(np.array([-1 << 32], np.int64))  # the empty word
+    tails = _Table(np.array([-1], np.int64))  # the empty word
     tid = 0
     for (i, e) in reversed(base.tail.letters):
         j = i - base.level
         _check_index(j)
         tid = int(_prepend(tails, np.array([tid]), np.array([2 * j + (e < 0)]), tails.number)[0])
     tails.commit()
-    nodes = _Table(np.array([LEVEL_LIMIT << 32 | tid], np.int64))  # the base coset
+    nodes = _Table(np.array([tid << 32 | LEVEL_LIMIT], np.int64))  # the base coset
     layer = nodes.keys  # the keys of the nodes at distance d
 
     # Each layer's images go straight into one (generators x layer) block.
@@ -350,7 +358,7 @@ def h_orbit_partition(
     for n in window:
         n = int(n)
         ball = orbit_ball(Coset(n, IDENTITY), gens, radius, cap=cap)
-        moved = np.flatnonzero(ball._nodes.keys >> 32 != LEVEL_LIMIT)
+        moved = np.flatnonzero(ball._nodes.keys & _LOW != LEVEL_LIMIT)
         if len(moved):
             raise RuntimeError(
                 f"shift-0 orbit left level {n}: "

@@ -1,14 +1,15 @@
 """Symmetric generator multisets, exact invariance checks for single basis
 vectors, and almost-invariant (Reiter) vectors: uniform on a window of cosets
 along the shift direction, with deviations in closed form as exact rationals
-2m/N.  Plain Python, with no numpy: only recompute_deviations loads cosets."""
+2m/N.  Plain Python, with no numpy: only recompute_deviations loads cosets.
+The Reiter code imports fractions where it runs, so a Kesten run, which
+loads this module for GenSet, loads neither fractions nor decimal."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .errors import ResourceLimitError
 from .freegroup import (GElement, IDENTITY, Word, format_gelement, g_inv, gamma_member,
@@ -101,6 +102,8 @@ class ReiterCertificate:
     __slots__ = ("moved", "epsilon", "window_start", "window_size")
 
     def __init__(self, moved, epsilon, window_start, window_size):
+        from fractions import Fraction
+
         self.moved, self.epsilon = dict(moved), epsilon
         self.window_start, self.window_size = window_start, window_size
         if window_size < 1 or not all(0 <= m <= window_size for m in self.moved.values()):
@@ -110,6 +113,8 @@ class ReiterCertificate:
 
     @property
     def deviation_squared(self) -> dict[GElement, Fraction]:
+        from fractions import Fraction
+
         return {g: Fraction(2 * m, self.window_size) for g, m in self.moved.items()}
 
     @property
@@ -125,6 +130,8 @@ class ReiterCertificate:
     def recompute_deviations(self) -> dict[GElement, float]:
         """Recount every m by acting on each window coset; must reproduce
         the deviations."""
+        from fractions import Fraction
+
         from .cosets import Coset, act
 
         lo, hi = self.window_start, self.window_start + self.window_size
@@ -143,6 +150,8 @@ def reiter_search(S, epsilon: float, max_window: int = 1 << 20) -> ReiterCertifi
     the largest shift: the least window whose bound sqrt(2K/N) is at most
     epsilon.  A window above max_window raises ResourceLimitError.
     """
+    from fractions import Fraction
+
     if not isinstance(S, GenSet):
         S = GenSet(S)
     epsilon = float(epsilon)

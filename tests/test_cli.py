@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cosetlab
-from cosetlab import _lazy, cli, suite
+from cosetlab import _lazy, cli, spectral, suite
 from cosetlab.cli import main
 from cosetlab.finitegroup import special_linear_order
 from cosetlab.freegroup import MAX_WORD_LETTERS
@@ -139,6 +139,25 @@ def test_kesten_radii_beyond_cap_rejected_before_expansion(capsys):
     assert code == 3
     assert "radius 30" in err and "--cap 60" in err
     assert run(capsys, "kesten", "--cap", "0")[0] == 2
+
+
+def test_kesten_radii_past_the_solve_limit_exit_3_before_any_solve(capsys, monkeypatch):
+    # 100,000 radii of the k=1 path, one solve each, ran past 60 s; the
+    # solve at radius r costs at least 2 (r + 1), summed here in closed form
+    started = time.perf_counter()
+    code, out, err = run(capsys, "kesten", "-k", "1", "--radii", "1..100000",
+                         "--cap", "300000", "--no-meta")
+    assert code == 3 and out == ""
+    assert f"SOLVE_LIMIT = {spectral.SOLVE_LIMIT}" in err and "10000300000" in err
+    # a range within --cap is not expanded before the check
+    code, _, err = run(capsys, "kesten", "--radii", "1..1000000000000", "--cap", str(10**13))
+    assert code == 3 and "SOLVE_LIMIT" in err
+    assert time.perf_counter() - started < 1.0
+    # 2 (2 + 3 + 4) = 18 for 1..3 and 28 for 1..4, summed over the chunks
+    monkeypatch.setattr(spectral, "SOLVE_LIMIT", 27)
+    assert cli._parse_radii("1,2..3", 100, 2) == [1, 2, 3]
+    code, _, err = run(capsys, "kesten", "--radii", "1..3,4", "--no-meta")
+    assert code == 3 and "at least 28" in err and "SOLVE_LIMIT = 27" in err
 
 
 def test_kesten_generator_count_beyond_cap_rejected_before_building(capsys):
@@ -423,8 +442,8 @@ def modules_loaded():
     """Per run, in a fresh process: whether scipy was imported, whether
     numpy ran (a lazily imported numpy sits in sys.modules unexecuted, so
     look for its submodules), the cosetlab modules it imported (by their
-    names within the package), whether dataclasses was imported, and
-    whether numpy.ma was."""
+    names within the package), whether dataclasses was imported, whether
+    numpy.ma was, and which of fractions and decimal were."""
     env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
     probe = (
         "import contextlib, io, json, sys\n"
@@ -435,14 +454,15 @@ def modules_loaded():
         "print(json.dumps(['scipy' in sys.modules, "
         "any(m.startswith('numpy.') for m in sys.modules), "
         "[m[len('cosetlab.'):] for m in sys.modules if m.startswith('cosetlab.')], "
-        "'dataclasses' in sys.modules, 'numpy.ma' in sys.modules]))\n"
+        "'dataclasses' in sys.modules, 'numpy.ma' in sys.modules, "
+        "[m for m in ('fractions', 'decimal') if m in sys.modules]]))\n"
     )
     loaded = []
     for argv in _NUMPY_FREE_RUNS + _NUMPY_RUNS:
         got = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env,
                              capture_output=True, text=True, timeout=120)
-        scipy, numpy, modules, dataclasses, masked = json.loads(got.stdout)
-        loaded.append((scipy, numpy, set(modules), dataclasses, masked))
+        scipy, numpy, modules, dataclasses, masked, exact = json.loads(got.stdout)
+        loaded.append((scipy, numpy, set(modules), dataclasses, masked, set(exact)))
     return loaded
 
 
@@ -465,12 +485,12 @@ def test_no_subcommand_loads_scipy(modules_loaded):
 
 def test_no_subcommand_loads_numpy_ma(modules_loaded):
     # np.unique imports numpy.ma (about 10 ms) through np.ma.is_masked
-    assert not any(masked for *_, masked in modules_loaded)
+    assert not any(masked for *_, masked, _ in modules_loaded)
 
 
 def test_no_subcommand_loads_dataclasses(modules_loaded):
     # dataclasses imports inspect; numpy loads inspect but not dataclasses
-    assert not any(dataclasses for *_, dataclasses, _ in modules_loaded)
+    assert not any(dataclasses for *_, dataclasses, _, _ in modules_loaded)
 
 
 def test_only_subcommands_that_build_arrays_run_numpy(modules_loaded):
@@ -479,7 +499,7 @@ def test_only_subcommands_that_build_arrays_run_numpy(modules_loaded):
 
 
 def test_each_run_loads_only_the_modules_it_uses(modules_loaded):
-    runs = {tuple(argv): (modules, dataclasses) for argv, (_, _, modules, dataclasses, _)
+    runs = {tuple(argv): (modules, dataclasses) for argv, (_, _, modules, dataclasses, *_)
             in zip(_NUMPY_FREE_RUNS + _NUMPY_RUNS, modules_loaded)}
     for argv in [("--version",), ("kesten", "-k", "two"), ("kesten", "--radii", "0")]:
         modules, _ = runs[argv]
@@ -494,6 +514,15 @@ def test_each_run_loads_only_the_modules_it_uses(modules_loaded):
     # a usage error loads no module it does not run
     assert runs["congruence", "2"][0] == {"cli", "errors"}
     assert runs["reiter", "x1 y", "--epsilon", "0.5"][0] == {"cli", "errors", "freegroup"}
+
+
+def test_only_the_reiter_path_loads_fractions_and_decimal(modules_loaded):
+    # invariance imports Fraction where the Reiter code runs: at the top of
+    # the module it cost every Kesten process about 6 ms of imports
+    exact = {tuple(argv): loaded[-1]
+             for argv, loaded in zip(_NUMPY_FREE_RUNS + _NUMPY_RUNS, modules_loaded)}
+    assert exact["kesten", "-k", "1", "--radii", "1"] == set()
+    assert exact["reiter", "t", "--epsilon", "0.5"] == {"fractions", "decimal"}
 
 
 def test_cli_resolves_only_the_public_names():

@@ -383,6 +383,25 @@ def test_resource_cap_reports_radius():
     assert "radius" in str(exc.value)
 
 
+def test_kesten_profile_bounds_its_solve_work(monkeypatch):
+    # radius r costs r + 1 layers plus its prefix: classes on a class tree
+    # (r + 1 on a free ball), nodes on a ball with a cross edge
+    cyclic = GenSet.symmetrized(map(parse_gelement, ("x1", "x2", "x1 x2")))
+    nodes = orbit_ball(Coset(0, IDENTITY), cyclic.elements, 2).prefix_size
+    for gens, work in [(free_generator_set(2), 2 + 2 + 3 + 3),
+                       (cyclic, 2 + nodes(1) + 3 + nodes(2))]:
+        monkeypatch.setattr(spectral, "SOLVE_LIMIT", work)
+        assert len(kesten_profile(Coset(0, IDENTITY), gens, (1, 2)).estimates) == 2
+        monkeypatch.setattr(spectral, "SOLVE_LIMIT", work - 1)
+        with pytest.raises(ResourceLimitError, match=f"at least {work} layers"):
+            kesten_profile(Coset(0, IDENTITY), gens, (1, 2))
+    # a one-node orbit: refused before a ball of 100,001 layers is built
+    monkeypatch.setattr(spectral, "orbit_ball", None)
+    x0 = GenSet.symmetrized([parse_gelement("x0")])
+    with pytest.raises(ResourceLimitError, match="at least 5000250000 layers"):
+        kesten_profile(Coset(5, IDENTITY), x0, range(1, 100_001))
+
+
 def test_delta_invariance_basic():
     level, devs = delta_invariance_check([parse_word("x0")])
     assert level == 0
