@@ -52,12 +52,9 @@ def _parse_radii(text: str, cap: int, k: int) -> list[int]:
     A ball of radius r >= 1 in the free orbit of k generators has at least
     2 max(r, k) + 1 nodes, so a radius whose ball cannot fit the node cap
     is rejected before its range is expanded or the generators are built.
-    So are radii whose solves cannot fit the profile's SOLVE_LIMIT: the
-    solve at radius r costs at least 2 (r + 1), as that ball has r + 1
-    nonempty layers, each of one class at least.
+    So are radii whose solves cannot fit the profile's SOLVE_LIMIT.
     """
-    radii: list[int] = []
-    need = 0
+    ranges: list[tuple[int, int]] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -69,22 +66,18 @@ def _parse_radii(text: str, cap: int, k: int) -> list[int]:
             raise ValueError(f"empty range {chunk!r} in radii literal")
         if lo < 1:
             raise ValueError(f"radii must be >= 1, got {lo}")
-        if radii and lo <= radii[-1]:
-            raise ValueError(f"radii must be strictly increasing ({radii[-1]} then {lo})")
+        if ranges and lo <= ranges[-1][1]:
+            raise ValueError(f"radii must be strictly increasing ({ranges[-1][1]} then {lo})")
         if 2 * max(hi, k) + 1 > cap:
             raise ResourceLimitError(
                 f"radius {hi} with -k {k} needs at least {2 * max(hi, k) + 1} "
                 f"orbit nodes, above --cap {cap}"
             )
-        from .spectral import SOLVE_LIMIT
+        ranges.append((lo, hi))
+    from .spectral import check_solve_steps  # after the checks: a usage error loads no solver
 
-        need += (hi + 1) * (hi + 2) - lo * (lo + 1)  # the sum of 2 (r + 1) over lo..hi
-        if need > SOLVE_LIMIT:
-            raise ResourceLimitError(
-                f"radii {text!r} need solve work of at least {need} "
-                f"(layers and prefix entries), above SOLVE_LIMIT = {SOLVE_LIMIT}")
-        radii.extend(range(lo, hi + 1))
-    return radii
+    check_solve_steps(ranges)
+    return [r for lo, hi in ranges for r in range(lo, hi + 1)]
 
 
 def _parse_matrix(text: str):

@@ -74,14 +74,14 @@ def markov_operator(ball: OrbitBall) -> MarkovOperator:
 # MAX_STEPS steps.  A Gram matrix of unit vectors with an eigenvalue below
 # RANK_FLOOR has lost rank.
 GAIN, MAX_STEPS, RANK_FLOOR = 1e-13, 10_000, 1e-10
-# Solve work a profile may take, checked before its first solve: the solve
-# at radius r steps through r + 1 layers in Python and works on a prefix of
-# the ball (classes on a class tree, else nodes), so a profile costs the sum
-# over its radii of r + 1 plus that prefix size.  `kesten -k 2 --radii 1..12`
-# costs 180 and the `t, x0` profile to radius 12 costs 10,660; on a 2-vCPU
-# guest `kesten -k 1 --radii 1..510` (261,630) took 3.5 s, and 1..1000
-# (1,002,000) took 10 s.
-SOLVE_LIMIT = 1 << 18
+# Python layer steps a profile may take, checked before its ball is built:
+# the solve at radius r steps through up to r + 1 layers in Python, so a profile
+# costs the sum over its radii of r + 1.  The vectors' entries are left to
+# the node cap, as numpy works through them far faster: on a 2-vCPU guest
+# `kesten -k 1 --radii 1..510` (130,815 steps, no vector above 511 entries)
+# took 3.4 s, and the `x1, x2, x1 x2` profile to radius 9 (54 steps on
+# 524,287 nodes) 1.2 s.
+SOLVE_LIMIT = 1 << 17
 
 
 def _edges(gens: GenSet, images):
@@ -275,13 +275,15 @@ def _ritz(basis, images, xx: float, xmx: float) -> np.ndarray | None:
     return scale * (ortho @ ritz)
 
 
-def _check_work(radii: Sequence[int], entries: int) -> None:
-    """Raise unless solves at radii, on prefixes of entries in all, fit SOLVE_LIMIT."""
-    work = sum(radii) + len(radii) + entries
-    if work > SOLVE_LIMIT:
+def check_solve_steps(ranges) -> None:
+    """Raise unless solves at every radius of the (lo, hi) ranges, r + 1
+    layer steps at radius r, fit SOLVE_LIMIT; in closed form, so a range is
+    never expanded."""
+    steps = sum((hi + 1) * (hi + 2) - lo * (lo + 1) for lo, hi in ranges) // 2
+    if steps > SOLVE_LIMIT:
         raise ResourceLimitError(
-            f"kesten profile exceeds SOLVE_LIMIT = {SOLVE_LIMIT}: its {len(radii)} radii "
-            f"need at least {work} layers and prefix entries in all")
+            f"kesten profile exceeds SOLVE_LIMIT = {SOLVE_LIMIT}: its radii "
+            f"need {steps} layer steps")
 
 
 class SpectralProfile(namedtuple("SpectralProfile", "radii estimates generators")):
@@ -325,9 +327,9 @@ def kesten_profile(
     radius on, c is the last estimate plus twice its last gain, just above
     the top eigenvalue, or 1 where that is not below 1 or not above it.  By
     eigenvalue interlacing every earlier estimate stays a valid lower bound,
-    so the profile is nondecreasing by construction.  Solves past
-    SOLVE_LIMIT raise ResourceLimitError before the first of them runs, and
-    before the ball is built if one entry per prefix is past it already.
+    so the profile is nondecreasing by construction.  Radii whose solves
+    take more than SOLVE_LIMIT layer steps raise ResourceLimitError before
+    the ball is built.
     """
     if not isinstance(gens, GenSet):
         gens = GenSet(gens)
@@ -340,7 +342,7 @@ def kesten_profile(
         if b <= a:
             raise ValueError(f"radii must be strictly increasing, got {a} then {b}")
 
-    _check_work(radii, len(radii))  # every prefix holds one entry at least
+    check_solve_steps(zip(radii, radii))
     ball = orbit_ball(base, gens.elements, radii[-1], cap=cap)
     images, ends = ball.gen_images, [ball.prefix_size(d) for d in range(radii[-1] + 1)]
     del ball  # the solver reads only the images: free the node and tail tables
@@ -350,7 +352,6 @@ def kesten_profile(
         root = np.ones(ends[-1])
     else:  # a tree apart from loops: solve on its class tree
         form, ends, root = _quotient(form, ends)
-    _check_work(radii, sum(ends[r] for r in radii))
     estimates, x = [], np.ones(1)  # the base node alone
     for r in radii:
         y = np.abs(x) / root[: x.size]  # |x| lifted to the nodes

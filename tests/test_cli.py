@@ -143,21 +143,21 @@ def test_kesten_radii_beyond_cap_rejected_before_expansion(capsys):
 
 def test_kesten_radii_past_the_solve_limit_exit_3_before_any_solve(capsys, monkeypatch):
     # 100,000 radii of the k=1 path, one solve each, ran past 60 s; the
-    # solve at radius r costs at least 2 (r + 1), summed here in closed form
+    # solve at radius r takes r + 1 layer steps, summed here in closed form
     started = time.perf_counter()
     code, out, err = run(capsys, "kesten", "-k", "1", "--radii", "1..100000",
                          "--cap", "300000", "--no-meta")
     assert code == 3 and out == ""
-    assert f"SOLVE_LIMIT = {spectral.SOLVE_LIMIT}" in err and "10000300000" in err
+    assert f"SOLVE_LIMIT = {spectral.SOLVE_LIMIT}" in err and "5000150000" in err
     # a range within --cap is not expanded before the check
     code, _, err = run(capsys, "kesten", "--radii", "1..1000000000000", "--cap", str(10**13))
     assert code == 3 and "SOLVE_LIMIT" in err
     assert time.perf_counter() - started < 1.0
-    # 2 (2 + 3 + 4) = 18 for 1..3 and 28 for 1..4, summed over the chunks
-    monkeypatch.setattr(spectral, "SOLVE_LIMIT", 27)
+    # 2 + 3 + 4 = 9 for 1..3 and 14 for 1..4, summed over the chunks
+    monkeypatch.setattr(spectral, "SOLVE_LIMIT", 13)
     assert cli._parse_radii("1,2..3", 100, 2) == [1, 2, 3]
     code, _, err = run(capsys, "kesten", "--radii", "1..3,4", "--no-meta")
-    assert code == 3 and "at least 28" in err and "SOLVE_LIMIT = 27" in err
+    assert code == 3 and "need 14 layer steps" in err and "SOLVE_LIMIT = 13" in err
 
 
 def test_kesten_generator_count_beyond_cap_rejected_before_building(capsys):

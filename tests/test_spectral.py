@@ -384,22 +384,27 @@ def test_resource_cap_reports_radius():
 
 
 def test_kesten_profile_bounds_its_solve_work(monkeypatch):
-    # radius r costs r + 1 layers plus its prefix: classes on a class tree
-    # (r + 1 on a free ball), nodes on a ball with a cross edge
+    # radius r costs r + 1 layer steps, however many nodes its ball holds
     cyclic = GenSet.symmetrized(map(parse_gelement, ("x1", "x2", "x1 x2")))
-    nodes = orbit_ball(Coset(0, IDENTITY), cyclic.elements, 2).prefix_size
-    for gens, work in [(free_generator_set(2), 2 + 2 + 3 + 3),
-                       (cyclic, 2 + nodes(1) + 3 + nodes(2))]:
-        monkeypatch.setattr(spectral, "SOLVE_LIMIT", work)
-        assert len(kesten_profile(Coset(0, IDENTITY), gens, (1, 2)).estimates) == 2
-        monkeypatch.setattr(spectral, "SOLVE_LIMIT", work - 1)
-        with pytest.raises(ResourceLimitError, match=f"at least {work} layers"):
-            kesten_profile(Coset(0, IDENTITY), gens, (1, 2))
+    for gens in (free_generator_set(2), cyclic):
+        monkeypatch.setattr(spectral, "SOLVE_LIMIT", 2 + 5)
+        assert len(kesten_profile(Coset(0, IDENTITY), gens, (1, 4)).estimates) == 2
+        monkeypatch.setattr(spectral, "SOLVE_LIMIT", 2 + 5 - 1)
+        with pytest.raises(ResourceLimitError, match="need 7 layer steps"):
+            kesten_profile(Coset(0, IDENTITY), gens, (1, 4))
     # a one-node orbit: refused before a ball of 100,001 layers is built
     monkeypatch.setattr(spectral, "orbit_ball", None)
     x0 = GenSet.symmetrized([parse_gelement("x0")])
-    with pytest.raises(ResourceLimitError, match="at least 5000250000 layers"):
+    with pytest.raises(ResourceLimitError, match="need 5000150000 layer steps"):
         kesten_profile(Coset(5, IDENTITY), x0, range(1, 100_001))
+
+
+def test_kesten_profile_on_nodes_within_the_cap_fits_the_solve_limit():
+    # a ball with a cross edge is solved on its 524,287 nodes: the node cap,
+    # not SOLVE_LIMIT, bounds them
+    cyclic = GenSet.symmetrized(map(parse_gelement, ("x1", "x2", "x1 x2")))
+    profile = kesten_profile(Coset(0, IDENTITY), cyclic, range(1, 10))
+    assert len(profile.estimates) == 9 and 0.8 < profile.estimates[-1] < 1.0
 
 
 def test_delta_invariance_basic():
