@@ -52,7 +52,7 @@ def _parse_radii(text: str, cap: int, k: int) -> list[int]:
     A ball of radius r >= 1 in the free orbit of k generators has at least
     2 max(r, k) + 1 nodes, so a radius whose ball cannot fit the node cap
     is rejected before its range is expanded or the generators are built.
-    So are radii whose solves cannot fit the profile's SOLVE_LIMIT.
+    So are radii whose solves or images exceed SOLVE_LIMIT or IMAGE_LIMIT.
     """
     ranges: list[tuple[int, int]] = []
     for chunk in text.split(","):
@@ -69,14 +69,16 @@ def _parse_radii(text: str, cap: int, k: int) -> list[int]:
         if ranges and lo <= ranges[-1][1]:
             raise ValueError(f"radii must be strictly increasing ({ranges[-1][1]} then {lo})")
         if 2 * max(hi, k) + 1 > cap:
-            raise ResourceLimitError(
-                f"radius {hi} with -k {k} needs at least {2 * max(hi, k) + 1} "
-                f"orbit nodes, above --cap {cap}"
-            )
+            raise ResourceLimitError(f"radius {hi} with -k {k} needs at least "
+                                     f"{2 * max(hi, k) + 1} orbit nodes, above --cap {cap}")
         ranges.append((lo, hi))
-    from .spectral import check_solve_steps  # after the checks: a usage error loads no solver
+    from . import cosets, spectral  # after the checks: a usage error loads no solver
 
-    check_solve_steps(ranges)
+    spectral.check_solve_steps(ranges)
+    images = 2 * k * (2 * max(hi, k) + 1)  # at most what orbit_ball checks
+    if images > cosets.IMAGE_LIMIT:
+        raise ResourceLimitError(f"radius {hi} with -k {k} exceeds the image limit "
+                                 f"{cosets.IMAGE_LIMIT}: its ball would need {images} images")
     return [r for lo, hi in ranges for r in range(lo, hi + 1)]
 
 

@@ -2,10 +2,10 @@
 
 Markov averaging operators of symmetric generator multisets, and float
 estimates of spectral-radius lower bounds by a matrix-free LOBPCG on a ball's
-generator images (preconditioned by the exact factor of cI - M, c just above
-the top eigenvalue, wherever the ball is a tree apart from loops; such a
-ball is solved on its class tree, an equitable partition of its nodes with
-the same top eigenvalue).  numpy runs only for the solve and the operator;
+generator images, solved on the ball's class tree (an equitable partition of
+its nodes with the same top eigenvalue) and preconditioned by the exact
+factor of cI - T, for T the walk's tree part and c just above the top
+eigenvalue.  numpy runs only for the solve and the operator;
 scipy only for markov_operator, the sparse-matrix referee, and it comes with
 the test extra, not the runtime.
 """
@@ -28,11 +28,8 @@ def free_generator_set(k: int) -> GenSet:
     """The symmetric set {(0, x_1)^{+-1}, ..., (0, x_k)^{+-1}}."""
     if k < 1:
         raise ValueError(f"need at least one generator, got k={k}")
-    elems = []
-    for i in range(1, k + 1):
-        elems.append(GElement(0, parse_word(f"x{i}")))
-        elems.append(GElement(0, parse_word(f"x{i}^-1")))
-    return GenSet(elems)
+    return GenSet(GElement(0, parse_word(f"x{i}{e}"))
+                  for i in range(1, k + 1) for e in ("", "^-1"))
 
 
 class MarkovOperator(namedtuple("MarkovOperator", "counts denominator")):
@@ -110,14 +107,18 @@ def _edges(gens: GenSet, images):
 
 
 def _classes(form, ends: Sequence[int]):
-    """Each node's class in a ball that is a tree apart from loops (form from
-    _edges, ends[d] nodes within distance d), and the class prefix sizes.  Two
-    nodes share a class when their parents do and their subtrees have the
-    same shape: joins, loops and the multiset of their children's shapes.
-    All members of a class at depth r lose their children together, so the
-    partition is equitable on every prefix, and classes are numbered by depth."""
+    """Each node's class in a ball (form from _edges, ends[d] nodes within
+    distance d), and the class prefix sizes.  Two nodes share a class when
+    their parents do and their subtrees have the same shape: joins, loops and
+    the multiset of their children's shapes.  A node with a cross pair is a
+    class of its own, ranked above every shape in its layer, so its ancestors
+    are too: a class of two or more has no cross pair, and its members share
+    the parent class, joins, loops and child classes, so the partition is
+    equitable on every prefix.  Classes are numbered by depth."""
     parent, joins, loops = form[:3]
     cls, top, bounds = np.zeros(len(parent), np.int64), np.iinfo(np.int64).max, [0, *ends]
+    cross = np.zeros(len(parent), bool)
+    cross[form[3][0]] = True  # the pairs come both ways round
     for d in range(len(ends) - 1, -1, -1):  # shapes, outer layer first
         lo, hi, nxt = bounds[d], bounds[d + 1], bounds[min(d + 2, len(ends))]
         key = joins[lo:hi].astype(np.int64) << 32 | loops[lo:hi]  # counts below 2^32
@@ -132,6 +133,7 @@ def _classes(form, ends: Sequence[int]):
             at = place == j
             key[up[at]] += shape[at] + 1
         cls[lo:hi] = np.unique(key, return_inverse=True)[1]
+        cls[lo:hi][cross[lo:hi]] = hi - lo + np.arange(np.count_nonzero(cross[lo:hi]))
     cends = [1]
     for lo, hi in zip(ends, ends[1:]):  # then (parent's class, shape), inner layer first
         key = cls[parent[lo:hi]] * (int(cls[lo:hi].max(initial=0)) + 1) + cls[lo:hi]
@@ -145,14 +147,16 @@ def _quotient(form, ends: Sequence[int]):
     _edges' shape, with the class prefix sizes and √ of the class sizes n.
     Q = D^½ B D^-½, for B the quotient of M and D = diag(n), is symmetric,
     has M's top eigenvalue, and z.Qz / z.z is the Rayleigh quotient of the
-    lift D^-½ z on M: a class's joins become j √(n / n of its parent class)."""
-    parent, joins, loops = form[:3]
+    lift D^-½ z on M: a class's joins become j √(n / n of its parent class),
+    and a cross pair, joining singletons, keeps weight 1."""
+    parent, joins, loops, (rows, cols) = form
     cls, ends = _classes(form, ends)
     n = np.bincount(cls)
     first = np.empty(len(n), np.intp)
     first[cls] = np.arange(len(cls))  # a member of each class
     up = cls[parent[first]]
-    return (up, joins[first] * np.sqrt(n / n[up]), loops[first], form[3]), ends, np.sqrt(n)
+    form = up, joins[first] * np.sqrt(n / n[up]), loops[first], (cls[rows], cls[cols])
+    return form, ends, np.sqrt(n)
 
 
 def _walk(form, n: int, size: int):
@@ -176,17 +180,15 @@ def _walk(form, n: int, size: int):
 
 
 def _tree_solve(form, ends: Sequence[int], size: int, c: float = 1.0):
-    """r -> (cI - M)^-1 r, in place, for M the walk of size generators on the
-    prefix of ends[-1] nodes, ends[d] of them within distance d: the exact
-    factor of cI - M on a tree apart from loops, eliminated from the outer
-    layer inward, so with no fill-in.  None if the prefix has a cross edge
-    or a pivot is <= 0 (then c is at most the top eigenvalue of M)."""
-    parent, joins, loops, (rows, cols) = form
-    n = ends[-1]
-    if ((rows < n) & (cols < n)).any():
-        return None
+    """r -> (cI - T)^-1 r, in place, for T the walk of size generators on the
+    prefix of ends[-1] nodes, ends[d] of them within distance d, less its
+    cross pairs: the exact factor, eliminated from the outer layer inward, so
+    with no fill-in.  None if a pivot is <= 0: then c is at most the top
+    eigenvalue of T, so of M (T <= M entry by entry).  Positive pivots make a
+    positive definite factor, but put c above M's top only with no cross pair."""
+    parent, joins, loops = (a[: ends[-1]] for a in form[:3])
     # link[i]: M's entry between node i and its parent, then that over i's pivot
-    link, pivot = joins[:n] / size, c - loops[:n] / size
+    link, pivot = joins / size, c - loops / size
     # (start of the parents' layer, start, end) of each layer, outer first
     layers = list(zip([0, 0, *ends], [0, *ends], ends))[:0:-1]
     for up, lo, hi in layers:  # a layer's pivots are final once its children are out
@@ -319,9 +321,8 @@ def kesten_profile(
     Each estimate is the Rayleigh quotient of an explicit vector, from a
     LOBPCG solve on the in-ball generator images that starts from |x| of the
     previous radius, padded with its minimum, and preconditioned by the exact
-    factor of cI - M (_tree_solve) where the ball is a tree apart from loops,
-    as it is for free sets; a ball with a cycle runs without.  A ball with no
-    cross edge is solved on its class tree (_quotient): z there
+    factor of cI - T (_tree_solve), T the walk's tree part.  It runs on the
+    ball's class tree (_quotient), where cross pairs join singletons: z there
     stands for the node vector D^-½ z, with the same Rayleigh quotient, and
     its prefixes are the balls of smaller radius.  From the third
     radius on, c is the last estimate plus twice its last gain, just above
@@ -348,10 +349,7 @@ def kesten_profile(
     del ball  # the solver reads only the images: free the node and tail tables
     form = _edges(gens, images)
     del images
-    if len(form[3][0]):  # a cross edge: solve on the nodes
-        root = np.ones(ends[-1])
-    else:  # a tree apart from loops: solve on its class tree
-        form, ends, root = _quotient(form, ends)
+    form, ends, root = _quotient(form, ends)
     estimates, x = [], np.ones(1)  # the base node alone
     for r in radii:
         y = np.abs(x) / root[: x.size]  # |x| lifted to the nodes

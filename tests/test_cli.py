@@ -174,7 +174,11 @@ def test_kesten_generator_count_beyond_cap_rejected_before_building(capsys):
     assert run(capsys, "kesten", "-k", "3", "--radii", "1", "--cap", "7", "--no-meta")[0] == 0
 
 
-def test_kesten_generator_images_bounded_before_they_are_built(capsys):
+def _no_generators(k):
+    raise AssertionError(f"built {2 * k} generators")
+
+
+def test_kesten_generator_images_bounded_before_they_are_built(capsys, monkeypatch):
     # 16,000 generators on the 16,001 nodes of the radius-1 ball would store
     # 256M images; before the bound the run took 63 s and 7.6 GB
     started = time.perf_counter()
@@ -183,6 +187,11 @@ def test_kesten_generator_images_bounded_before_they_are_built(capsys):
     assert out == ""
     assert "image limit" in err and "need 256016000 images" in err
     assert time.perf_counter() - started < 2.0
+    # refused from the arguments: building 200,000 generators first took 3 s
+    monkeypatch.setattr(cli, "free_generator_set", _no_generators)
+    code, out, err = run(capsys, "kesten", "-k", "100000", "--radii", "1")
+    assert code == 3 and out == ""
+    assert "need 40000200000 images" in err
 
 
 def test_kesten_csv(capsys, tmp_path):
