@@ -14,15 +14,21 @@ def _lookup(table, q: np.ndarray) -> np.ndarray:
 
 
 def _merge(table, keys: np.ndarray, vals: np.ndarray):
-    if not len(table[0]):  # the first slice of a layer: nothing to merge
+    n = len(table[0])
+    if not n:  # the first slice of a layer: nothing to merge
         return keys, vals
-    # searchsorted, not >: row keys (V dtype) have no comparison ufuncs
-    last = np.searchsorted(table[0], keys[:1])[0] == len(table[0])
-    keys, vals = np.concatenate((table[0], keys)), np.concatenate((table[1], vals))
-    if last:  # the new keys sort after the table's: an append
-        return keys, vals
-    order = np.argsort(keys, kind="stable")  # two sorted runs: one merge pass
-    return keys[order], vals[order]
+    # The runs share no key (a key is pending only while the table lacks it).
+    # searchsorted, not >: row keys (V dtype) have no comparison ufuncs.
+    out = tuple(np.empty(n + len(keys), a.dtype) for a in table)
+    at, rest = slice(n, None), slice(n)  # the new keys sort last: an append
+    if np.searchsorted(table[0], keys[:1])[0] < n:
+        at = np.searchsorted(table[0], keys)
+        at += np.arange(len(keys))  # in place: a third run-length array cost RSS
+        rest = np.ones(len(out[0]), bool)
+        rest[at] = False
+    for o, old, new in zip(out, table, (keys, vals)):
+        o[at], o[rest] = new, old
+    return out
 
 
 class _Table:
@@ -32,10 +38,10 @@ class _Table:
     since the last commit() are pending until commit() merges them in, once
     per layer; rollback() forgets them (an orbit ball's outer layer, for
     multi-letter words).  A merge whose keys all sort after the table's
-    appends them; any other merge sorts the two runs together, a pass over
-    the table.  Orbit balls pack their keys so that a layer's new keys mostly
-    sort last (see cosets).  A commit with none pending, as at the end of a
-    closure, trims keys.
+    appends them; any other places the new keys by binary search and the
+    old around them, with no sort.  Orbit balls pack their keys so that a
+    layer's new keys mostly sort last (see cosets).  A commit with none
+    pending, as at the end of a closure, trims keys.
 
     Ids are int32.  An orbit ball raises once it holds more than TAIL_LIMIT
     = 2^31 tails, and IMAGE_LIMIT = 2^23 bounds its nodes; a group closure
@@ -80,8 +86,8 @@ class _Table:
         if len(new):
             order = new[np.argsort(first[new])]
             start, end = len(self), len(self) + len(new)
-            if end > len(self._keys):
-                self._keys = np.resize(self._keys, max(end, 2 * start))
+            if end > len(self._keys):  # unwritten: np.resize would write every new page
+                self._keys = np.pad(self.keys, (0, max(end, 2 * start) - start), mode="empty")
             self._keys[start:end] = uniq[order]
             ids[order] = np.arange(start, end)
             self.new = _merge(self.new, uniq[new], ids[new])

@@ -24,10 +24,11 @@ sort after every key of the table, and merging them in is an append.  Balls
 are built one breadth-first layer at a time with numpy, imported lazily:
 Coset and act never run it.  The images of a layer's nodes are computed for
 all generators at once, in slices of a fixed number of (parent, generator)
-pairs; unseen images become new nodes, numbered by first occurrence in
-(parent, generator) order, which is the order of a node-by-node
-breadth-first search.  The outer layer numbers no node, and looks each
-image's tail up at its last letter: an unseen tail is outside the ball.
+pairs, into the ball's one image array, which grows as each layer starts;
+unseen images become new nodes, numbered by first occurrence in (parent,
+generator) order, which is the order of a node-by-node breadth-first
+search.  The outer layer numbers no node, and looks each image's tail up
+at its last letter: an unseen tail is outside the ball.
 """
 
 from __future__ import annotations
@@ -305,33 +306,32 @@ def orbit_ball(
     nodes = _Table(np.array([tid << 32 | LEVEL_LIMIT], np.int64))  # the base coset
     layer = nodes.keys  # the keys of the nodes at distance d
 
-    # Each layer's images go straight into one (generators x layer) block.
-    ends, blocks = [], []
+    # Each layer's images go straight into its columns of the image array.
+    ends, images = [], np.empty((len(gens), 0), np.int32)
     step = max(1, SLICE_PAIRS // len(gens))
     while True:
-        d, found = len(ends), len(nodes)
+        d, found, done = len(ends), len(nodes), images.shape[1]
         if len(gens) * found > IMAGE_LIMIT:
             raise ResourceLimitError(
                 f"orbit ball exceeded image limit {IMAGE_LIMIT}: {len(gens)} generators "
                 f"on the {found} nodes within radius {d} need {len(gens) * found} images")
         ends.append(found)
-        block = np.empty((len(gens), len(layer)), np.int32)
+        images = np.pad(images, ((0, 0), (0, found - done)), mode="empty")  # new columns unwritten
         number = nodes.number if d < radius else None
         for a in range(0, len(layer), step):
             _expand(tails, nodes, shifts, letters, layer[a:a + step],
-                    block[:, a:a + step], number)
+                    images[:, done + a:done + a + step], number)
             if len(nodes) > cap:
                 raise ResourceLimitError(
                     f"orbit ball exceeded node cap {cap}: {found} nodes found within "
                     f"radius {d}, and radius {d + 1} adds at least {len(nodes) - found} more")
-        blocks.append(block)
+        del layer  # a view of the node keys, which the last commit trims
         nodes.commit()
         tails.commit()
         if len(nodes) == found:
             break
         layer = nodes.keys[found:]
-    return OrbitBall(base, gens, radius, tails, nodes, ends,
-                     np.concatenate(blocks, axis=1))
+    return OrbitBall(base, gens, radius, tails, nodes, ends, images)
 
 
 def h_orbit_partition(

@@ -86,7 +86,7 @@ def _edges(gens: GenSet, images):
     each generator's partner is checked to undo it on each node: each node's
     parent (its least neighbour, one layer in; the base is its own), the
     numbers of generators joining it to its parent and fixing it, and the
-    (node, image) pairs of every other in-ball image."""
+    (node, image) pairs of every other in-ball image, by generator."""
     generators, partner = gens.elements, gens.partner
     for s, row in enumerate(images):
         at = np.flatnonzero(row >= 0)
@@ -94,19 +94,21 @@ def _edges(gens: GenSet, images):
             raise ValueError(
                 f"operator is not symmetric: {format_gelement(generators[partner[s]])} "
                 f"does not undo {format_gelement(generators[s])} on the ball")
-    node = np.arange(images.shape[1])
-    parent = np.where(images >= 0, images, len(node)).min(axis=0).astype(np.intp)
+    node = np.arange(images.shape[1], dtype=np.int32)
+    parent = images.view(np.uint32).min(axis=0).view(np.int32)  # -1 reads as 2^32 - 1
     parent[0] = 0
     count = np.min_scalar_type(len(images))
     joins, loops = ((images == a).sum(0, count) for a in (parent, node))
     joins[0] = 0  # it counted the base's loops: the base is its own parent
-    gen, rows = np.nonzero((images >= 0) & (images != parent) & (images != node))
-    cols = images[gen, rows].astype(np.intp)
-    keep = parent[cols] != rows  # nor a child
-    return parent, joins, loops, (rows[keep], cols[keep])
+    cross = []
+    for row in images:  # one generator at a time: no child pair is stored
+        at = np.flatnonzero((row >= 0) & (row != parent) & (row != node))
+        at = at[parent[row[at]] != at]  # nor a child
+        cross.append((at, row[at]))
+    return parent, joins, loops, tuple(np.concatenate(a) for a in zip(*cross))
 
 
-def _classes(form, ends: Sequence[int]):
+def _classes(form, ends: Sequence[int], rank: bool = False):
     """Each node's class in a ball (form from _edges, ends[d] nodes within
     distance d), and the class prefix sizes.  Two nodes share a class when
     their parents do and their subtrees have the same shape: joins, loops and
@@ -114,17 +116,21 @@ def _classes(form, ends: Sequence[int]):
     class of its own, ranked above every shape in its layer, so its ancestors
     are too: a class of two or more has no cross pair, and its members share
     the parent class, joins, loops and child classes, so the partition is
-    equitable on every prefix.  Classes are numbered by depth."""
+    equitable on every prefix.  Classes are numbered by depth.  If every node
+    past the base has a cross pair, each is its own class, as ranking (forced
+    by rank) finds: BFS numbers a layer in its nodes' least neighbours' order."""
     parent, joins, loops = form[:3]
-    cls, top, bounds = np.zeros(len(parent), np.int64), np.iinfo(np.int64).max, [0, *ends]
     cross = np.zeros(len(parent), bool)
     cross[form[3][0]] = True  # the pairs come both ways round
+    if cross[1:].all() and not rank:
+        return np.arange(len(parent)), list(ends)
+    cls, top, bounds = np.zeros(len(parent), np.int64), np.iinfo(np.int64).max, [0, *ends]
     for d in range(len(ends) - 1, -1, -1):  # shapes, outer layer first
         lo, hi, nxt = bounds[d], bounds[d + 1], bounds[min(d + 2, len(ends))]
         key = joins[lo:hi].astype(np.int64) << 32 | loops[lo:hi]  # counts below 2^32
         base = int(cls[hi:nxt].max(initial=-1)) + 2
-        kids = np.sort((parent[hi:nxt] - lo) * base + cls[hi:nxt])  # by parent, then shape
-        up, shape = kids // base, kids % base
+        kids = np.sort((parent[hi:nxt] - lo).astype(np.int64) * base + cls[hi:nxt])
+        up, shape = kids // base, kids % base  # by parent, then shape
         place = np.arange(len(up)) - np.searchsorted(up, up)
         for j in range(int(place.max(initial=-1)) + 1):  # one digit per child place, 0 if none
             if key.max() > top // base - 1:  # the next digit could overflow: re-rank

@@ -317,7 +317,7 @@ def test_kesten_cap_bounds_layer_memory():
 
 def test_orbit_ball_outer_slices_leave_nothing_behind(monkeypatch):
     # The outer layer's images are looked up, not grown, and written in
-    # place into the layer's image block, so a slice leaves nothing traced
+    # place into the ball's image array, so a slice leaves nothing traced
     # behind it.  Returning views of a slice's buffers kept two of them
     # alive per slice until the layer ended.
     monkeypatch.setattr(cosets, "SLICE_PAIRS", 1024)
@@ -334,3 +334,15 @@ def test_orbit_ball_outer_slices_leave_nothing_behind(monkeypatch):
     assert len(ball) == 13121
     assert len(after) == 35  # 8,748 outer nodes times 4 generators, in slices of 1,024
     assert max(after) - after[0] < 1024 * 8  # less than one slice buffer in all
+
+
+def test_orbit_ball_traced_peak_is_close_to_what_it_holds():
+    # the radius-10 ball holds 6.3 MiB: its images, and the node and tail
+    # tables.  Its traced peak was 1.47 times that while each layer's images
+    # were a block of their own, concatenated at the end, and a layer's key
+    # view kept the untrimmed node keys alive through the last commits; now
+    # it is 1.20 times that.
+    ball, peak, held = traced_peak(
+        lambda: orbit_ball(Coset(0, IDENTITY), gens_x12(), 10))
+    assert len(ball) == 118_097
+    assert peak <= 1.3 * held

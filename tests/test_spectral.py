@@ -388,6 +388,61 @@ def test_class_tree_is_equitable_and_keeps_the_node_estimates(inputs, k):
     assert np.abs(np.subtract(estimates, nodes)).max() <= 1e-12
 
 
+def _reference_form(images):
+    """_edges' form read off gen_images in plain Python: each node's parent
+    (its least in-ball image; the base is its own), the generators joining
+    it to its parent and fixing it, and the (node, image) pairs of every
+    other in-ball image that is not a child, generator by generator."""
+    rows = images.tolist()
+    parent = [min((row[i] for row in rows if row[i] >= 0), default=0) if i else 0
+              for i in range(images.shape[1])]
+    joins = [sum(row[i] == parent[i] for row in rows) if i else 0 for i in range(len(parent))]
+    loops = [sum(row[i] == i for row in rows) for i in range(len(parent))]
+    pairs = [(i, j) for row in rows for i, j in enumerate(row)
+             if j >= 0 and j not in (i, parent[i]) and parent[j] != i]
+    return parent, joins, loops, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(kesten_inputs() | tree_inputs())
+@example((Coset(0, IDENTITY), GenSet.symmetrized(map(parse_gelement, ("x1", "x2", "x1 x2"))),
+          (3,)))  # cross pairs at every node past the base
+@example((Coset(0, IDENTITY), GenSet.symmetrized(map(parse_gelement, ("t", "x0", "x1 x0"))),
+          (4,)))  # cross pairs with a shift
+@example((Coset(0, IDENTITY), GenSet.symmetrized([parse_gelement("x0")]), (2,)))  # one node
+def test_edges_match_a_plain_reading_of_the_images(inputs):
+    base, gens, radii = inputs
+    _, form, _ = _tree_form(gens, radii[-1], base)
+    parent, joins, loops, (rows, cols) = form
+    want = _reference_form(orbit_ball(base, gens.elements, radii[-1]).gen_images)
+    assert (parent.tolist(), joins.tolist(), loops.tolist()) == want[:3]
+    assert list(zip(rows.tolist(), cols.tolist())) == want[3]
+
+
+def test_edges_peak_little_above_the_images():
+    # the radius-10 k=2 ball: 118,097 nodes, 1.8 MiB of images.  Listing
+    # every child pair as int64 before dropping it, and masking the images
+    # for the parent, peaked 6.2 MiB above them; read in place, 2.0 MiB.
+    gens = free_generator_set(2)
+    images = orbit_ball(Coset(0, IDENTITY), gens.elements, 10).gen_images
+    form, peak, _ = traced_peak(lambda: spectral._edges(gens, images))
+    assert len(form[0]) == 118_097 and not len(form[3][0])
+    assert peak <= 5 << 19
+
+
+def test_balls_where_nothing_folds_skip_the_class_ranking(monkeypatch):
+    # every node of an `x1, x2, x1 x2` ball but the base has a cross pair:
+    # the class pass returns the identity partition, and ranking gives it too
+    gens = GenSet.symmetrized(map(parse_gelement, ("x1", "x2", "x1 x2")))
+    _, form, ends = _tree_form(gens, 6)
+    ranked = spectral._classes(form, ends, rank=True)
+    assert ranked[0].tolist() == list(range(ends[-1])) and ranked[1] == ends
+    fast = kesten_profile(Coset(0, IDENTITY), gens, range(1, 7)).estimates
+    real = spectral._classes
+    monkeypatch.setattr(spectral, "_classes", lambda *args: real(*args, rank=True))
+    assert kesten_profile(Coset(0, IDENTITY), gens, range(1, 7)).estimates == fast
+
+
 def test_shift_profile_traced_peak_is_bounded():
     # 128,649 nodes at r=12; 14.5 MiB when the solve held the edge list
     _, peak, _ = traced_peak(lambda: kesten_profile(Coset(0, IDENTITY), T_X0, range(1, 13)))

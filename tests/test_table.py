@@ -22,8 +22,9 @@ _CASES = st.sampled_from(["int64", "V3", "S3"]).flatmap(lambda dtype: st.tuples(
 
 # Batches whose new keys sort after every key before them, so that each
 # merge (of a batch into the pending keys, and of those into the table) is
-# an append, and batches whose keys interleave with them, merged by a sort.
-# Row keys (V dtype) have no >: an append test written with it raised.
+# an append; batches whose keys interleave with them; batches that sort
+# wholly before them; and batches with keys at both ends of them.  Row keys
+# (V dtype) have no >: an append test written with it raised.
 _APPENDING = [([7, 6], "neither"), ([9, 8, 7], "commit"), ([12, 10], "commit")]
 _INTERLEAVED = [([3, 8, -3], "neither"), ([6, 4, 12], "commit"), ([-2, 7], "commit")]
 _ROWS_APPENDING = [([b"\x01\x01\x00", b"\x01\x00\xff"], "neither"),
@@ -32,6 +33,13 @@ _ROWS_APPENDING = [([b"\x01\x01\x00", b"\x01\x00\xff"], "neither"),
 _ROWS_INTERLEAVED = [([b"\xff\x00\x00", b"\x00\x01\x00"], "neither"),
                      ([b"\x01\x00\xff", b"\xff\xff\xff"], "commit"),
                      ([b"\x00\x00\x00", b"\x01\xff\x00"], "commit")]
+_BEFORE = [([7, 9], "commit"), ([2, 1], "neither"), ([-3, 0, 2], "commit")]
+_BOTH_ENDS = [([-3, 12], "commit"), ([1 << 62, 4, -(1 << 62)], "commit")]
+_ROWS_BEFORE = [([b"\x01\xff\x00", b"\x01\x01\x00"], "commit"),
+                ([b"\x00\xff\x00"], "neither"),
+                ([b"\x00\x00\x01", b"\x01\x00\x00", b"\x00\x01\x00"], "commit")]
+_ROWS_BOTH_ENDS = [([b"\xff\xff\xff", b"\x00\x00\x00"], "commit"),
+                   ([b"\x00\x00\xff", b"\x01\x00\xff", b"\xff\x00\x00"], "commit")]
 
 
 def _array(keys, dtype):
@@ -53,6 +61,10 @@ def _raw(keys, dtype):
 @example(("S3", _ROWS_INTERLEAVED))
 @example(("V3", _ROWS_APPENDING))
 @example(("V3", _ROWS_INTERLEAVED))
+@example(("int64", _BEFORE))
+@example(("int64", _BOTH_ENDS))
+@example(("V3", _ROWS_BEFORE))
+@example(("V3", _ROWS_BOTH_ENDS))
 def test_table_matches_a_dict_reference(case):
     dtype, steps = case
     seed = 5 if dtype == "int64" else b"\x01\x00\x00"
