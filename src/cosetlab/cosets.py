@@ -5,30 +5,27 @@ A coset is written (level, tail) with every tail index strictly above the
 level; this form is unique because the quotient of F by the normal closure
 of {x_i : i <= level} is free on the surviving generators.
 
-Orbit balls keep each coset as a level, counted from the base coset's
-level, plus an interned tail id.  Tail letters are stored relative to their
-coset's level, as j = index - level >= 1.  The element (s, w) sends
-(L, tail) to (L + s, w' tail), where w' keeps the letters of w above L + s:
-shifting the tail by s moves its letters and its level together, so the
-tail id is unchanged and only the letters of w are prepended.  A tail is
-hash-consed as (rest id, first letter code), with id 0 for the empty word,
-so prepending one letter is either a cancellation (the rest) or one lookup
-in the tail table.  Free reduction is confluent, so prepending the kept
-letters of w right to left gives exactly the canonical form of act().
+Orbit balls keep each coset as a level offset from the base coset's level
+plus an interned tail id, its letters stored as j = index - level >= 1.
+The element (s, w) sends (L, tail) to (L + s, w' tail), where w' keeps the
+letters of w above L + s: the shifted tail keeps its id, and only w's
+letters are prepended.  A tail is hash-consed as (rest id, first letter
+code), id 0 the empty word, so prepending a letter is a cancellation (the
+rest) or one lookup in the tail table.  Free reduction is confluent, so
+prepending w's kept letters right to left gives act()'s canonical form.
 
-Nodes and tails are each numbered by an int64 _Table (see _table).  Both
+Nodes and tails are each numbered by an int64 _Table (see _table), whose
 keys put an id in the high half: a tail's is its rest's id, a node's its
-tail's id.  The tails a layer makes extend tails of the layer before, and
-its nodes mostly end in tails made in that layer, so its new keys mostly
-sort after every key of the table, and merging them in is an append.  Balls
-are built one breadth-first layer at a time with numpy, imported lazily:
-Coset and act never run it.  The images of a layer's nodes are computed for
-all generators at once, in slices of a fixed number of (parent, generator)
-pairs, into the ball's one image array, which grows as each layer starts;
-unseen images become new nodes, numbered by first occurrence in (parent,
-generator) order, which is the order of a node-by-node breadth-first
-search.  The outer layer numbers no node, and looks each image's tail up
-at its last letter: an unseen tail is outside the ball.
+tail's id.  A layer's tails extend the last layer's, and its nodes mostly
+end in its own new tails, so its new keys mostly sort after the table's and
+merging them in is an append: on free orbits every merge appends, and each
+table is its own index, holding each key once.  Balls are built a layer at
+a time with numpy, imported lazily (Coset and act never run it).  A layer's
+images under all generators are computed in slices of (parent, generator)
+pairs into the ball's one image array, grown as each layer starts; unseen
+images become nodes, numbered by first occurrence in (parent, generator)
+order, as in a node-by-node BFS.  The outer layer numbers no node: it looks
+each image's tail up at its last letter, and an unseen tail is outside.
 """
 
 from __future__ import annotations

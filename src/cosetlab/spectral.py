@@ -117,35 +117,44 @@ def _classes(form, ends: Sequence[int], rank: bool = False):
     are too: a class of two or more has no cross pair, and its members share
     the parent class, joins, loops and child classes, so the partition is
     equitable on every prefix.  Classes are numbered by depth.  If every node
-    past the base has a cross pair, each is its own class, as ranking (forced
-    by rank) finds: BFS numbers a layer in its nodes' least neighbours' order."""
+    past the base has a cross pair, each is its own class, and cls is None;
+    ranking (forced by rank) numbers them as BFS does, by least neighbour."""
     parent, joins, loops = form[:3]
     cross = np.zeros(len(parent), bool)
     cross[form[3][0]] = True  # the pairs come both ways round
     if cross[1:].all() and not rank:
-        return np.arange(len(parent)), list(ends)
-    cls, top, bounds = np.zeros(len(parent), np.int64), np.iinfo(np.int64).max, [0, *ends]
+        return None, list(ends)
+    cls, top, bounds = np.zeros(len(parent), np.int32), np.iinfo(np.int64).max, [0, *ends]
     for d in range(len(ends) - 1, -1, -1):  # shapes, outer layer first
         lo, hi, nxt = bounds[d], bounds[d + 1], bounds[min(d + 2, len(ends))]
         key = joins[lo:hi].astype(np.int64) << 32 | loops[lo:hi]  # counts below 2^32
         base = int(cls[hi:nxt].max(initial=-1)) + 2
-        kids = np.sort((parent[hi:nxt] - lo).astype(np.int64) * base + cls[hi:nxt])
-        up, shape = kids // base, kids % base  # by parent, then shape
-        place = np.arange(len(up)) - np.searchsorted(up, up)
+        kids = np.multiply(parent[hi:nxt] - lo, base, dtype=np.int64)  # then in place
+        kids += cls[hi:nxt]
+        kids.sort()  # by parent, then shape
+        up, shape = np.divmod(kids, base, out=(kids, np.empty(len(kids), np.int32)))
+        place = np.arange(len(up), dtype=np.int32)
+        place -= np.searchsorted(up, up)
         for j in range(int(place.max(initial=-1)) + 1):  # one digit per child place, 0 if none
             if key.max() > top // base - 1:  # the next digit could overflow: re-rank
-                key = np.unique(key, return_inverse=True)[1]
+                key = _rank(key)
             key *= base
             at = place == j
             key[up[at]] += shape[at] + 1
-        cls[lo:hi] = np.unique(key, return_inverse=True)[1]
+        cls[lo:hi] = _rank(key)
         cls[lo:hi][cross[lo:hi]] = hi - lo + np.arange(np.count_nonzero(cross[lo:hi]))
     cends = [1]
     for lo, hi in zip(ends, ends[1:]):  # then (parent's class, shape), inner layer first
-        key = cls[parent[lo:hi]] * (int(cls[lo:hi].max(initial=0)) + 1) + cls[lo:hi]
-        cls[lo:hi] = cends[-1] + np.unique(key, return_inverse=True)[1]
+        key = np.multiply(cls[parent[lo:hi]], int(cls[lo:hi].max(initial=0)) + 1, dtype=np.int64)
+        key += cls[lo:hi]
+        cls[lo:hi] = cends[-1] + _rank(key)
         cends.append(int(cls[lo:hi].max(initial=cends[-1] - 1)) + 1)
     return cls, cends
+
+
+def _rank(key: np.ndarray) -> np.ndarray:  # np.unique's inverse, from one sorted copy, not five
+    values = np.sort(key)
+    return np.searchsorted(values[np.insert(values[1:] != values[:-1], 0, True)], key)
 
 
 def _quotient(form, ends: Sequence[int]):
@@ -154,12 +163,15 @@ def _quotient(form, ends: Sequence[int]):
     Q = D^½ B D^-½, for B the quotient of M and D = diag(n), is symmetric,
     has M's top eigenvalue, and z.Qz / z.z is the Rayleigh quotient of the
     lift D^-½ z on M: a class's joins become j √(n / n of its parent class),
-    and a cross pair, joining singletons, keeps weight 1."""
+    and a cross pair, joining singletons, keeps weight 1: all singletons give form."""
     parent, joins, loops, (rows, cols) = form
     cls, ends = _classes(form, ends)
+    if cls is None:  # as intp and float, a product reads indices and joins faster
+        form = parent.astype(np.intp), joins.astype(float), loops, (rows, cols.astype(np.intp))
+        return form, ends, np.broadcast_to(1.0, len(parent))
     n = np.bincount(cls)
-    first = np.empty(len(n), np.intp)
-    first[cls] = np.arange(len(cls))  # a member of each class
+    first = np.empty(len(n), np.int32)
+    first[cls] = np.arange(len(cls), dtype=np.int32)  # a member of each class
     up = cls[parent[first]]
     form = up, joins[first] * np.sqrt(n / n[up]), loops[first], (cls[rows], cls[cols])
     return form, ends, np.sqrt(n)

@@ -337,11 +337,14 @@ def test_orbit_ball_outer_slices_leave_nothing_behind(monkeypatch):
 
 
 def test_orbit_ball_traced_peak_is_close_to_what_it_holds():
-    # the radius-10 ball holds 6.3 MiB: its images, and the node and tail
-    # tables.  Its traced peak was 1.47 times that while each layer's images
-    # were a block of their own, concatenated at the end, and a layer's key
-    # view kept the untrimmed node keys alive through the last commits; now
-    # it is 1.20 times that.
+    # the radius-10 ball holds 3.6 MiB: its images, and the node and tail
+    # keys, each table its own index (6.3 MiB while each kept a sorted copy
+    # and int32 ids).  Its traced peak was 1.47 times what it held while each
+    # layer's images were a block of their own, concatenated at the end, and
+    # a layer's key view kept the untrimmed node keys alive through the last
+    # commits; 1.34 times while the last commit trimmed the node keys by a
+    # copy, held next to the untrimmed ones; trimmed in place, about 4.6 MiB,
+    # 1.26 times, reached while the outer layer fills the images.
     ball, peak, held = traced_peak(
         lambda: orbit_ball(Coset(0, IDENTITY), gens_x12(), 10))
     assert len(ball) == 118_097
